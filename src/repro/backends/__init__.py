@@ -1,7 +1,6 @@
 """Optional engine backends (see :mod:`repro.core.backend`).
 
-Modules here may have environment requirements (``repro[perf]`` numpy
-for :mod:`.vectorized`, the ``fork`` start method for :mod:`.sharded`);
-nothing in the core import path imports them eagerly — the backend
-registry resolves them lazily when selected.
+Modules here may depend on extras (``repro[perf]`` for numpy); nothing
+in the core import path imports them eagerly — the backend registry
+resolves them lazily when selected.
 """

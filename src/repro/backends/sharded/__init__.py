@@ -1,35 +1,12 @@
-"""``repro.backends.sharded`` — the multi-process sharded round engine.
+"""``repro.backends.sharded`` — the deterministic vertex partitioner
+left over from the removed sharded round engine.
 
-The fourth registered engine backend: partitions the CSR graph across
-N forked worker processes (contiguous or seeded-random vertex
-partition), steps each shard locally, and exchanges only boundary
-messages at round barriers over ``multiprocessing`` pipes.  Registered
-as ``"sharded"`` in :mod:`repro.core.backend`; select it with
-``run_local(..., backend="sharded")``, ``use_backend("sharded")``,
-``REPRO_BACKEND=sharded``, or the CLI's ``--backend sharded
---shards N``.
-
-The determinism contract (RunResult and JSONL trace bytes identical to
-the serial fast engine for every driver, shard count, and fault plan)
-and the barrier protocol are documented in ``docs/sharding.md``; the
-``PartitionInvariance`` relation in :mod:`repro.verify` enforces the
-contract mechanically.
+The multi-process backend itself is gone (it never beat the serial
+fast engine; see ROADMAP item 4).  Only the pure-function partitioner
+and its property tests remain, and they are due to be deleted in a
+follow-up change.  Nothing registers or imports this package.
 """
 
-from .coordinator import (
-    DEFAULT_SHARD_COUNT,
-    SHARD_MODE_ENV_VAR,
-    SHARD_SEED_ENV_VAR,
-    SHARDS_ENV_VAR,
-    ShardConfig,
-    WorkerCrashError,
-    active_worker_pids,
-    capture_sharded_state,
-    current_shard_config,
-    restore_sharded_state,
-    run_local_sharded,
-    use_shards,
-)
 from .partition import (
     CONTIGUOUS,
     PARTITION_MODES,
@@ -41,21 +18,9 @@ from .partition import (
 
 __all__ = [
     "CONTIGUOUS",
-    "DEFAULT_SHARD_COUNT",
     "PARTITION_MODES",
     "RANDOM",
     "Partition",
-    "SHARDS_ENV_VAR",
-    "SHARD_MODE_ENV_VAR",
-    "SHARD_SEED_ENV_VAR",
-    "ShardConfig",
-    "WorkerCrashError",
-    "active_worker_pids",
     "boundary_edges",
-    "capture_sharded_state",
-    "current_shard_config",
     "partition_graph",
-    "restore_sharded_state",
-    "run_local_sharded",
-    "use_shards",
 ]

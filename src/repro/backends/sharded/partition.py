@@ -1,10 +1,10 @@
-"""Deterministic vertex partitioning for the sharded backend.
+"""Deterministic vertex partitioning (left from the removed sharded backend).
 
 A :class:`Partition` assigns every vertex of a port-numbered graph to
 exactly one of ``n_shards`` shards and precomputes the boundary
-structure the round barrier needs: for each vertex whose neighborhood
-crosses a shard boundary, the set of *foreign* shards that must receive
-its published value (its ghost consumers).
+structure: for each vertex whose neighborhood crosses a shard boundary,
+the set of *foreign* shards holding one of its neighbors (its ghost
+consumers).
 
 Both placement modes are pure functions of ``(graph, n_shards, seed)``:
 
@@ -15,18 +15,10 @@ Both placement modes are pure functions of ``(graph, n_shards, seed)``:
   same splitmix64 mix the fault adversary uses
   (:func:`repro.faults.runtime.mix64`), never a sequential RNG draw.
   Placement therefore cannot depend on construction order, and two
-  processes computing the partition independently (the coordinator and
-  a resumed successor) agree bit-for-bit.
-
-Placement is invisible to the algorithm by the locality of the LOCAL
-model — a round step reads only the previous round's neighbor
-publishes, so any partition yields the same execution.  The
-``PartitionInvariance`` relation in :mod:`repro.verify` pins this
-mechanically instead of assuming it.
+  processes computing the partition independently agree bit-for-bit.
 
 Empty shards are legal (``n_shards > n`` simply leaves the tail shards
-with no vertices) and so are singleton shards; the coordinator treats
-both uniformly.
+with no vertices) and so are singleton shards.
 """
 
 from __future__ import annotations

@@ -996,15 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine backend every run_local call in this command "
         "uses (default: the REPRO_BACKEND env var, else 'fast')",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for '--backend sharded' (exported as "
-        "REPRO_SHARDS so spawned children inherit it; default: the "
-        "env var, else 2)",
-    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser(
@@ -1594,12 +1585,6 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be a positive integer")
-        from .backends.sharded import SHARDS_ENV_VAR
-
-        os.environ[SHARDS_ENV_VAR] = str(args.shards)
     try:
         if args.backend is not None:
             from .core.backend import use_backend

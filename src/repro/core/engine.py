@@ -18,7 +18,7 @@ Faithfulness guarantees:
 - a run that exceeds ``max_rounds`` raises instead of under-reporting.
 
 :func:`run_local` dispatches to a pluggable *backend* (see
-:mod:`repro.core.backend`); four implementations share these
+:mod:`repro.core.backend`); three implementations share these
 guarantees:
 
 - ``"fast"`` (:func:`_run_local_fast`, the default) — the production
@@ -39,12 +39,6 @@ guarantees:
   asymptotic regime (n = 10^6 and up).  Requires the ``[perf]`` extra;
   drivers without a registered kernel fall back to the fast per-node
   loop.
-- ``"sharded"`` (:mod:`repro.backends.sharded`) — the CSR graph
-  partitioned across N forked worker processes, with only boundary
-  messages exchanged at round barriers.  Bit-identical to the fast
-  engine for every driver, shard count, and fault plan (the
-  ``PartitionInvariance`` relation in ``repro.verify`` pins this);
-  see ``docs/sharding.md``.
 
 Both engines accept *observers* (``observers=[...]`` or ambiently via
 :func:`observe_runs`): read-only spectators implementing the
@@ -1219,48 +1213,6 @@ def _restore_vectorized_state(handle: Any, payload: Dict[str, Any]) -> None:
     restore_vector_state(handle, payload)
 
 
-def _load_sharded_backend() -> Runner:
-    """Resolve the multi-process sharded backend.
-
-    Pure Python (no optional dependency), but imported lazily like the
-    vectorized backend so :mod:`repro.core` never imports
-    :mod:`multiprocessing` machinery it might not use.
-    """
-    import importlib
-
-    module = importlib.import_module("repro.backends.sharded")
-    runner: Runner = module.run_local_sharded
-    return runner
-
-
-def _capture_sharded_state(handle: Any) -> Dict[str, Any]:
-    """Checkpoint capability for the ``"sharded"`` backend.
-
-    Dispatches on the handle shape, exactly like the vectorized
-    capability: runs that fell back to the per-node loop (non-batch
-    observers, no fork support, daemonic pool workers) carry a
-    :class:`_ScalarState`; native sharded runs carry the coordinator's
-    handle, whose capture gathers per-shard state over the barrier.
-    Both snapshot formats are ``"scalar"``, so any snapshot resumes at
-    any shard count — or on any scalar-compatible backend.
-    """
-    if isinstance(handle, _ScalarState):
-        return _capture_scalar_state(handle)
-    from ..backends.sharded import capture_sharded_state
-
-    result: Dict[str, Any] = capture_sharded_state(handle)
-    return result
-
-
-def _restore_sharded_state(handle: Any, payload: Dict[str, Any]) -> None:
-    if isinstance(handle, _ScalarState):
-        _restore_scalar_state(handle, payload)
-        return
-    from ..backends.sharded import restore_sharded_state
-
-    restore_sharded_state(handle, payload)
-
-
 register_backend(
     "fast",
     lambda: _run_local_fast,
@@ -1283,13 +1235,4 @@ register_backend(
     "without a kernel)",
     capture_state=_capture_vectorized_state,
     restore_state=_restore_vectorized_state,
-)
-register_backend(
-    "sharded",
-    _load_sharded_backend,
-    description="multi-process shard workers over a deterministic "
-    "vertex partition (boundary messages at round barriers; "
-    "REPRO_SHARDS / --shards selects the shard count)",
-    capture_state=_capture_sharded_state,
-    restore_state=_restore_sharded_state,
 )

@@ -61,10 +61,10 @@ DEGRADED_WORD_CAP = 8
 
 #: Stage-2 degradation: the backend the retry is pinned to — the
 #: serial per-node engine, the smallest-footprint implementation every
-#: install carries (multi-process and vectorized backends both degrade
-#: to it).  Must name a registered backend; the backend-surface
-#: meta-test in ``tests/test_backends.py`` checks it against the
-#: registry so a rename cannot silently break the ladder.
+#: install carries (the vectorized backend degrades to it).  Must name
+#: a registered backend; the backend-surface meta-test in
+#: ``tests/test_backends.py`` checks it against the registry so a
+#: rename cannot silently break the ladder.
 DEGRADATION_BACKEND = "fast"
 
 

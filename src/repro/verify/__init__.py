@@ -45,7 +45,6 @@ from .relations import (
     IdRelabeling,
     ObserverNeutrality,
     OrderInvariance,
-    PartitionInvariance,
     PortPermutation,
     Relation,
     RelationViolation,
@@ -72,7 +71,6 @@ __all__ = [
     "Instance",
     "ObserverNeutrality",
     "OrderInvariance",
-    "PartitionInvariance",
     "PortPermutation",
     "Relation",
     "RelationViolation",

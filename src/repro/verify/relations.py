@@ -25,11 +25,6 @@ checkpoint-resume     reproduce the uninterrupted run byte-for-byte
                       (outcome, metrics summary, JSONL trace) when
                       killed at a derived round and resumed from its
                       checkpoint, on every backend, faults included
-partition-invariance  on the sharded backend, be independent of the
-                      vertex partition: every shard count (and the
-                      seeded-random placement) must reproduce the
-                      serial fast engine's outcome, metrics summary,
-                      and JSONL trace bytes, faults included
 order-invariance      (opt-in) depend only on the relative order of
                       IDs, not their values
 ====================  ================================================
@@ -882,151 +877,6 @@ class CheckpointResume(Relation):
         return None
 
 
-class PartitionInvariance(Relation):
-    """The sharded backend must be invisible to the algorithm: for the
-    same (driver, instance, seed, fault plan), every shard count — and
-    the seeded-random placement mode — must reproduce the serial fast
-    engine's execution exactly.
-
-    Per plan (bare, message noise, crash adversary) the fast engine
-    runs once under the heaviest deterministic-plane observers (a
-    ``MetricsObserver`` plus a per-vertex ``JsonlTraceObserver``), then
-    the sharded backend runs at each count in :attr:`shard_counts`
-    plus one 2-shard leg under ``mode="random"``.  Outcomes must match
-    always; for runs that complete, the metrics summary and the full
-    trace bytes must match too.  Raising runs are held to outcome
-    equality only — the batch plane legally ends at the last completed
-    round boundary while the scalar fast engine may emit a
-    partial-round prefix (the same carve-out ObserverNeutrality makes).
-
-    On hosts without the ``fork`` start method the sharded backend
-    falls back to the fast engine, so the relation degenerates to a
-    tautology rather than failing spuriously.
-    """
-
-    name = "partition-invariance"
-    description = "sharded == fast at every shard count, faults included"
-
-    #: Shard counts exercised per plan (1 pins the degenerate single-
-    #: worker path; 4 forces multi-boundary routing at quick_n sizes).
-    shard_counts: Tuple[int, ...] = (1, 2, 4)
-    #: Placement seed for the extra random-mode leg.
-    random_placement_seed: int = 0x5EED
-    #: The message adversary (mirrors FaultPlanDeterminism's rates).
-    drop_rate: float = 0.02
-    corrupt_rate: float = 0.01
-    round_budget: int = 512
-    #: The crash adversary: exercises shard-local crash-stop plus the
-    #: parent-side CrashStopFault reconstruction in the merged batches.
-    crash_rate: float = 0.05
-    crash_round: int = 1
-
-    def applies_to(self, subject: Subject) -> bool:
-        return True
-
-    def plans_for(
-        self, instance: Instance
-    ) -> List[Optional[FaultPlan]]:
-        return [
-            None,
-            FaultPlan(
-                seed=mix64(instance.seed, 0x5A01),
-                drop_rate=self.drop_rate,
-                corrupt_rate=self.corrupt_rate,
-                corrupt=_tag_corrupt,
-                round_budget=self.round_budget,
-            ),
-            FaultPlan(
-                seed=mix64(instance.seed, 0x5A02),
-                crash_rate=self.crash_rate,
-                crash_round=self.crash_round,
-                round_budget=self.round_budget,
-            ),
-        ]
-
-    def _observed(
-        self, subject: Subject, instance: Instance
-    ) -> Tuple[Outcome, str, Dict[str, Any]]:
-        import io
-
-        metrics = MetricsObserver()
-        sink = io.StringIO()
-        trace = JsonlTraceObserver(sink, node_steps=True)
-        with observe_runs(metrics, trace):
-            outcome = run_outcome(subject, instance)
-        return outcome, sink.getvalue(), metrics.summary()
-
-    def check(
-        self, subject: Subject, instance: Instance
-    ) -> Optional[RelationViolation]:
-        import contextlib
-
-        from ..backends.sharded import use_shards
-
-        for plan in self.plans_for(instance):
-
-            def scoped() -> Any:
-                stack = contextlib.ExitStack()
-                if plan is not None:
-                    stack.enter_context(inject_faults(plan))
-                return stack
-
-            plan_label = (
-                "bare" if plan is None else "under a nonzero FaultPlan"
-            )
-            with scoped(), use_backend("fast"):
-                base, base_trace, base_summary = self._observed(
-                    subject, instance
-                )
-            legs = [
-                (f"{count} contiguous shards", use_shards(count))
-                for count in self.shard_counts
-            ]
-            legs.append(
-                (
-                    "2 random-placement shards",
-                    use_shards(
-                        2,
-                        mode="random",
-                        seed=self.random_placement_seed,
-                    ),
-                )
-            )
-            for leg_label, shards in legs:
-                with scoped(), use_backend("sharded"), shards:
-                    got, got_trace, got_summary = self._observed(
-                        subject, instance
-                    )
-                if got != base:
-                    return self._violation(
-                        subject,
-                        instance,
-                        f"sharded backend at {leg_label} ({plan_label}) "
-                        f"diverges from the fast engine: "
-                        f"fast={_summarize(base)}, "
-                        f"sharded={_summarize(got)}",
-                    )
-                if base[0] != "ok":
-                    continue
-                if got_trace != base_trace:
-                    return self._violation(
-                        subject,
-                        instance,
-                        f"JSONL trace bytes at {leg_label} "
-                        f"({plan_label}) differ from the fast "
-                        f"engine's",
-                    )
-                if got_summary != base_summary:
-                    return self._violation(
-                        subject,
-                        instance,
-                        f"metrics summary at {leg_label} "
-                        f"({plan_label}) differs from the fast "
-                        f"engine's",
-                    )
-        return None
-
-
 class OrderInvariance(Relation):
     """Subjects declared ``order_invariant`` must produce identical
     outputs under any order-preserving remap of their IDs (the
@@ -1075,7 +925,6 @@ def standard_relations() -> List[Relation]:
         ObserverNeutrality(),
         FaultPlanDeterminism(),
         CheckpointResume(),
-        PartitionInvariance(),
         OrderInvariance(),
     ]
 
@@ -1088,7 +937,6 @@ __all__ = [
     "ObserverNeutrality",
     "OrderInvariance",
     "Outcome",
-    "PartitionInvariance",
     "PortPermutation",
     "Relation",
     "RelationViolation",

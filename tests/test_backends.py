@@ -69,26 +69,30 @@ def _color_bidding_tree(n=200, seed=1):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_shipped_backends_registered(self):
-        names = backend_names()
-        assert "fast" in names
-        assert "reference" in names
-        assert "vectorized" in names
-        assert "sharded" in names
-
-    def test_sharded_backend_needs_no_extras(self):
-        # Pure stdlib multiprocessing: available on every install.
-        assert "sharded" in available_backend_names()
+        assert backend_names() == ("fast", "reference", "vectorized")
 
     def test_fast_and_reference_always_available(self):
         available = available_backend_names()
         assert "fast" in available
         assert "reference" in available
 
-    def test_unknown_backend_name_raises_with_known_set(self):
-        with pytest.raises(ReproError, match="unknown engine backend"):
-            get_backend("warp-drive")
-        with pytest.raises(ReproError, match="fast"):
-            get_backend("warp-drive")
+    def test_unknown_backend_name_raises_with_known_set(self, monkeypatch):
+        # "sharded" is a removed backend: every selection route must
+        # reject it as loudly as a name that never existed.
+        for name in ("warp-drive", "sharded"):
+            known = (
+                f"unknown engine backend '{name}'; "
+                "registered backends: fast, reference, vectorized"
+            )
+            with pytest.raises(ReproError, match=known):
+                get_backend(name)
+            with pytest.raises(ReproError, match=known):
+                with use_backend(name):
+                    pass  # pragma: no cover — must not be reached
+            monkeypatch.setenv(BACKEND_ENV_VAR, name)
+            with pytest.raises(ReproError, match=known):
+                run_local(cycle_graph(4), LinialColoring(), Model.DET)
+            monkeypatch.delenv(BACKEND_ENV_VAR)
 
     def test_run_local_rejects_unknown_backend(self):
         with pytest.raises(ReproError, match="unknown engine backend"):
@@ -695,25 +699,6 @@ class TestBackendSurfaces:
             if "--backend" in getattr(a, "option_strings", ())
         )
         assert tuple(action.choices) == tuple(backend_names())
-
-    def test_cli_shards_flag_exports_the_env_var(
-        self, tmp_path, monkeypatch
-    ):
-        import os
-
-        from repro import cli
-        from repro.backends.sharded import SHARDS_ENV_VAR
-
-        monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-        cli.main(["--shards", "3", "report", str(tmp_path)])
-        assert os.environ.get(SHARDS_ENV_VAR) == "3"
-        monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-
-    def test_cli_rejects_nonpositive_shards(self, tmp_path):
-        from repro import cli
-
-        with pytest.raises(SystemExit):
-            cli.main(["--shards", "0", "report", str(tmp_path)])
 
     def test_bench_rows_cover_every_available_backend(self):
         from repro.analysis.perf import backend_engine_metrics

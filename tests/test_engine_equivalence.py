@@ -23,7 +23,6 @@ extras are missing (``vectorized`` without numpy) are *skipped*, never
 failed — the core suite stays green on a bare install.
 """
 
-import multiprocessing
 import random
 
 import pytest
@@ -449,83 +448,6 @@ def test_mpx_decomposition_matches_reference_engine(backend):
     assert candidate.assignment == reference.assignment
     assert candidate.distances == reference.distances
     assert candidate.rounds == reference.rounds
-
-
-# ----------------------------------------------------------------------
-# The sharded round loop proper (observer-free, so no fallback)
-# ----------------------------------------------------------------------
-requires_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded backend needs the fork start method",
-)
-
-
-@requires_fork
-@pytest.mark.parametrize("count", [1, 3])
-class TestShardedSyntheticEquivalence:
-    """The synthetic path-coverage algorithms again, but on the
-    sharded backend's *native* round loop: no observers are attached
-    (a scalar observer would trigger its documented fallback to the
-    fast engine), and full RunResult equality against the reference
-    engine is asserted at a degenerate and a boundary-heavy shard
-    count."""
-
-    def run_sharded(self, graph, factory, model, count, **kwargs):
-        from repro.backends.sharded import use_shards
-
-        with use_shards(count):
-            candidate = run_local(
-                graph, factory(), model, trace=True,
-                backend="sharded", **kwargs
-            )
-        reference = run_local_reference(
-            graph, factory(), model, trace=True, **kwargs
-        )
-        assert_results_identical(candidate, reference)
-        return candidate
-
-    def test_staggered_sleep_with_bulk_skips(self, count):
-        graph = cycle_graph(60)
-        inputs = [{"klass": (v * 7) % 23 + (v % 3) * 40} for v in range(60)]
-        self.run_sharded(
-            graph, StaggeredSleeper, Model.DET, count, node_inputs=inputs
-        )
-
-    def test_repeated_sleep_cycles(self, count):
-        graph = ring_of_cycles(4, 5)
-        inputs = [
-            {"klass": v % 6, "hops": v} for v in range(graph.num_vertices)
-        ]
-        self.run_sharded(
-            graph, RepeatSleeper, Model.DET, count, node_inputs=inputs
-        )
-
-    def test_partial_publish_dirty_commit(self, count):
-        self.run_sharded(
-            cycle_graph(31), PartialPublisher, Model.DET, count
-        )
-
-    def test_failures_and_staggered_halts(self, count):
-        result = self.run_sharded(
-            cycle_graph(40), FlakyHalter, Model.DET, count
-        )
-        assert result.failures
-
-    def test_randomized_streams_match(self, count):
-        self.run_sharded(
-            cycle_graph(50), RandomTalker, Model.RAND, count, seed=7
-        )
-
-    def test_max_rounds_guard(self, count):
-        from repro.backends.sharded import use_shards
-        from repro.core import SimulationError
-
-        with use_shards(count):
-            with pytest.raises(SimulationError, match="exceeded 12"):
-                run_local(
-                    cycle_graph(10), NeverHalts(), Model.DET,
-                    max_rounds=12, backend="sharded",
-                )
 
 
 # ----------------------------------------------------------------------

@@ -280,9 +280,6 @@ class TestBrokenVerifyFixturesAreFlagged:
                 ("LM010", line_of(BROKEN_FIXTURES, "ctx.halt(ctx.id % 3)")),
                 ("LM010", line_of(BROKEN_FIXTURES, "ctx.halt(self._next)", 1)),
                 ("LM010", line_of(BROKEN_FIXTURES, "ctx.halt(self._next)", 2)),
-                # ShardRankColoring, the partition-invariance fixture:
-                # the same shared-counter channel, third occurrence.
-                ("LM010", line_of(BROKEN_FIXTURES, "ctx.halt(self._next)", 3)),
                 ("LM011", line_of(BROKEN_FIXTURES, "_PANIC_RNG.getrandbits")),
             ]
         )

@@ -9,7 +9,6 @@ counterexample to at most 12 vertices, and (c) accepts a correct
 control subject, so the catalogue neither under- nor over-rejects.
 """
 
-import multiprocessing
 import random
 
 import pytest
@@ -26,7 +25,6 @@ from repro.verify import (
     IdRelabeling,
     ObserverNeutrality,
     OrderInvariance,
-    PartitionInvariance,
     PortPermutation,
     VertexOrderInvariance,
     find_counterexample,
@@ -167,26 +165,6 @@ class AmnesiacColoring(SyncAlgorithm):
             ctx.halt(AmnesiacColoring.clock % 5)
 
 
-class ShardRankColoring(SyncAlgorithm):
-    """Ranks vertices through a shared in-process counter consumed at
-    *step* time — a hidden cross-node channel that cannot survive a
-    process boundary.  The serial engines rank all n vertices through
-    one counter; forked shard workers each inherit their own copy, so
-    vertices in different shards draw colliding ranks."""
-
-    name = "shard-rank-coloring"
-
-    def __init__(self):
-        self._next = 0
-
-    def setup(self, ctx):
-        ctx.publish(0)
-
-    def step(self, ctx, inbox):
-        self._next += 1
-        ctx.halt(self._next)
-
-
 class ParityColoring(SyncAlgorithm):
     """Declared order-invariant, but outputs ``ID mod 2`` — the parity
     of an ID is not determined by its rank."""
@@ -303,17 +281,6 @@ BROKEN = {
         _cycle,
         3,
     ),
-    "partition-invariance": (
-        PartitionInvariance(),
-        lambda: subject_from_algorithm(
-            ShardRankColoring,
-            name="shard-rank-coloring",
-            model=Model.DET,
-            max_rounds=50,
-        ),
-        _cycle,
-        3,
-    ),
     "order-invariance": (
         OrderInvariance(),
         lambda: subject_from_algorithm(
@@ -333,17 +300,9 @@ def test_catalogue_is_complete():
     assert {r.name for r in standard_relations()} == set(BROKEN)
 
 
-def _skip_unless_forkable(relation_name):
-    if relation_name == "partition-invariance" and (
-        "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        pytest.skip("sharded backend needs the fork start method")
-
-
 @pytest.mark.parametrize("relation_name", sorted(BROKEN))
 def test_relation_rejects_broken_fixture(relation_name):
     relation, make_subject, family, min_n = BROKEN[relation_name]
-    _skip_unless_forkable(relation_name)
     subject = make_subject()
     assert relation.applies_to(subject)
     found = find_counterexample(
@@ -364,7 +323,6 @@ def test_relation_rejects_broken_fixture(relation_name):
 @pytest.mark.parametrize("relation_name", sorted(BROKEN))
 def test_relation_accepts_correct_control(relation_name):
     relation = BROKEN[relation_name][0]
-    _skip_unless_forkable(relation_name)
     subject = _control_subject()
     if relation.name in ("id-relabeling", "port-permutation"):
         # Validity relations need an LCL; audit a shipped driver.
