@@ -2,16 +2,19 @@
 
 Exercises the round-boundary checkpoint contract across a real
 SIGKILL: a child process runs a checkpointed n = 10^4 coloring
-workload through ``repro run`` (on the vectorized backend when numpy
-is importable), the parent SIGKILLs it the moment the first in-flight
-snapshot lands, then resumes with ``--resume`` and asserts both the
-summary and the JSONL trace are **byte-identical** to an
-uninterrupted run.  See ``docs/robustness.md``.
+workload through ``repro run``, the parent SIGKILLs it the moment the
+first in-flight snapshot lands, then resumes with ``--resume`` and
+asserts both the summary and the JSONL trace are **byte-identical** to
+an uninterrupted run.  The smoke runs once per snapshot format: on the
+vectorized backend (``"vector"`` snapshots) when numpy is importable,
+and always on the fast backend (``"scalar"`` snapshots).  See
+``docs/robustness.md``.
 
 Usage: ``python benchmarks/checkpoint_smoke.py [outdir]`` — exits 0 on
 success and prints one PASS line; any other exit is a failure.  When
-``outdir`` is given the checkpoint directory, traces, and timing
-sidecar are left there for artifact upload instead of a tempdir.
+``outdir`` is given, each backend's checkpoint directory, traces, and
+timing sidecar are left in ``outdir/<backend>/`` for artifact upload
+instead of a tempdir.
 """
 
 import glob
@@ -53,12 +56,15 @@ def run_cmd(outdir, tag, *, resume=False, checkpoint=True, n=N):
     return cmd
 
 
-def env_with_backend():
+def smoke_backends():
+    """One backend per snapshot format this build can write."""
+    available = available_backend_names()
+    return [b for b in ("vectorized", "fast") if b in available]
+
+
+def env_with_backend(backend):
     env = dict(os.environ)
-    backends = available_backend_names()
-    env["REPRO_BACKEND"] = (
-        "vectorized" if "vectorized" in backends else "fast"
-    )
+    env["REPRO_BACKEND"] = backend
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     return env
 
@@ -95,21 +101,24 @@ def read(path):
         return handle.read()
 
 
-def main(outdir):
-    env = env_with_backend()
+def smoke_one(outdir, backend):
+    """Kill, resume and byte-compare one backend's run; returns the
+    size it ran at and its trace length."""
+    env = env_with_backend(backend)
     for n in ESCALATION:
         for stale in glob.glob(os.path.join(outdir, "ck", "slot-*")):
             os.unlink(stale)
         if kill_once_checkpointed(outdir, env, n):
             break
         print(
-            f"  (n = {n} finished before SIGKILL landed; escalating)",
+            f"  ({backend}: n = {n} finished before SIGKILL landed; "
+            "escalating)",
             flush=True,
         )
     else:
         raise AssertionError(
-            "every escalation size finished before SIGKILL — "
-            "nothing was interrupted, the smoke proves nothing"
+            f"{backend}: every escalation size finished before SIGKILL "
+            "— nothing was interrupted, the smoke proves nothing"
         )
 
     # Resume the killed run, then produce the uninterrupted baseline.
@@ -122,21 +131,31 @@ def main(outdir):
         stdout=subprocess.PIPE, check=True,
     )
     assert resumed.stdout == baseline.stdout, (
-        "resumed summary differs from the uninterrupted run's"
+        f"{backend}: resumed summary differs from the uninterrupted run's"
     )
     summary = json.loads(resumed.stdout)
     assert summary["n"] == n and summary["rounds"] > 0
 
     resumed_trace = read(os.path.join(outdir, "resumed.trace.jsonl"))
     baseline_trace = read(os.path.join(outdir, "baseline.trace.jsonl"))
-    assert resumed_trace, "resumed trace is empty"
+    assert resumed_trace, f"{backend}: resumed trace is empty"
     assert resumed_trace == baseline_trace, (
-        "resumed trace bytes differ from the uninterrupted run's"
+        f"{backend}: resumed trace bytes differ from the uninterrupted "
+        "run's"
     )
+    return n, len(resumed_trace)
+
+
+def main(outdir):
+    legs = []
+    for backend in smoke_backends():
+        leg_dir = os.path.join(outdir, backend)
+        os.makedirs(leg_dir, exist_ok=True)
+        n, trace_len = smoke_one(leg_dir, backend)
+        legs.append(f"{backend} n = {n} ({trace_len} trace bytes)")
     print(
-        f"PASS checkpoint smoke: SIGKILLed {env['REPRO_BACKEND']} "
-        f"n = {n} run mid-flight; resumed trace "
-        f"({len(resumed_trace)} bytes) byte-identical to an "
+        "PASS checkpoint smoke: SIGKILLed " + ", ".join(legs)
+        + " mid-flight; every resumed trace byte-identical to an "
         "uninterrupted run"
     )
     return 0

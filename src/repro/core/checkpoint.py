@@ -13,10 +13,11 @@ faults, same observer streams.  The ``checkpoint_resume`` relation in
 What a snapshot holds is backend-shaped (see the
 ``Backend.capture_state`` / ``restore_state`` capability in
 :mod:`repro.core.backend`): the scalar engines record per-node ``state``
-/ published values / wake rounds / halt and failure flags plus each
-node's ``random.Random.getstate()``; the vectorized backend records the
-kernel's columnar arrays and the :class:`~repro.backends.mt19937.VectorMT`
-limb counts and draw cursors.  Both formats also carry the
+/ published values / wake rounds / halt and failure flags plus the
+``random.Random`` state of live vertices only, packed as bytes (a
+halted vertex never draws again, so its stream is not stored); the
+vectorized backend records the kernel's columnar arrays and the
+:class:`~repro.backends.mt19937.VectorMT` limb counts and draw cursors.  Both formats also carry the
 :class:`~repro.faults.runtime.FaultRuntime`'s mutable duplicate buffer
 and one resumable position per attached observer.
 
@@ -34,7 +35,9 @@ Multi-phase drivers make several ``run_local`` calls; under an ambient
 Completed slots persist a ``.done`` snapshot (the pickled result plus
 observer end positions), so a resume replays finished phases without
 re-running their engines and restores observers to exactly where the
-interrupted process left them.
+interrupted process left them.  Once the ``.done`` file is durable the
+slot's in-flight ``.ckpt`` is deleted: a finished slot keeps only its
+``.done``.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ __all__ = [
 ]
 
 CHECKPOINT_SCHEMA = "repro.core.checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _PathLike = Union[str, "os.PathLike[str]"]
 
@@ -101,11 +104,12 @@ class CheckpointPolicy:
     """When and where to snapshot a run.
 
     ``path`` is a directory; each ``run_local`` call (slot) keeps one
-    in-flight file ``slot-NNNN.ckpt`` and, once finished, one
-    ``slot-NNNN.done`` snapshot there.  At least one cadence must be
-    set: ``every_rounds`` checkpoints deterministically on round
-    boundaries, ``every_seconds`` on wall clock (the *content* is still
-    a round-boundary snapshot, so resume stays exact either way).
+    in-flight file ``slot-NNNN.ckpt`` there while it runs and, once
+    finished, only one ``slot-NNNN.done`` snapshot.  At least one
+    cadence must be set: ``every_rounds`` checkpoints deterministically
+    on round boundaries, ``every_seconds`` on wall clock (the *content*
+    is still a round-boundary snapshot, so resume stays exact either
+    way).
 
     ``resume`` makes runs under this policy restore from existing
     snapshots instead of overwriting them.  ``heartbeat`` is a plane-2
@@ -161,7 +165,8 @@ def load_checkpoint(path: _PathLike) -> Tuple[Dict[str, Any], Any]:
     """Read and verify one checkpoint file; returns (header, payload).
 
     Raises :class:`CheckpointError` on any integrity failure: missing
-    header, foreign schema, newer version, truncated payload, or a
+    header, foreign schema, a version other than
+    :data:`CHECKPOINT_VERSION` (older or newer), truncated payload, or a
     SHA-256 mismatch.  Corruption never resumes silently.
     """
     try:
@@ -188,10 +193,10 @@ def load_checkpoint(path: _PathLike) -> Tuple[Dict[str, Any], Any]:
             f"{CHECKPOINT_SCHEMA} file"
         )
     version = header.get("version")
-    if not isinstance(version, int) or version > CHECKPOINT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {os.fspath(path)!r} has version {version!r}; "
-            f"this build understands <= {CHECKPOINT_VERSION}"
+            f"this build reads only version {CHECKPOINT_VERSION}"
         )
     payload = raw[newline + 1 :]
     expected_len = header.get("payload_len")
@@ -514,7 +519,13 @@ class CheckpointSession:
             hb({"slot": self.slot, "rounds": rounds, "saved": True})
 
     def record_done(self, result: Any) -> None:
-        """Persist the slot's completed result + observer end state."""
+        """Persist the slot's completed result + observer end state,
+        then drop the in-flight file.
+
+        :meth:`begin` reads ``.done`` first, so the ``.ckpt`` is never
+        read again.  A crash between the two steps leaves both files,
+        which is harmless.
+        """
         payload = {
             "result": result,
             "observers": [
@@ -527,6 +538,10 @@ class CheckpointSession:
             {"kind": "done", "slot": self.slot, "fingerprint": self._fingerprint},
             blob,
         )
+        try:
+            os.unlink(self.ckpt_path)
+        except FileNotFoundError:
+            pass
 
     def _pickle(self, payload: Any, what: str) -> bytes:
         try:

@@ -63,6 +63,7 @@ stay bit-identical under any plan.  See ``docs/robustness.md``.
 from __future__ import annotations
 
 import random
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -633,6 +634,11 @@ class _ScalarState:
         self.traces: List[RoundTrace] = traces if traces is not None else []
 
 
+#: One Mersenne Twister state (624 words plus the position), packed
+#: little-endian: the live-vertex RNG entry of a ``"scalar"`` snapshot.
+_MT_STATE = struct.Struct("<625I")
+
+
 def _capture_scalar_state(state: _ScalarState) -> Dict[str, Any]:
     """Serialize a round-boundary scalar snapshot (format ``"scalar"``).
 
@@ -642,9 +648,23 @@ def _capture_scalar_state(state: _ScalarState) -> Dict[str, Any]:
     values alone reconstruct the visible plane.  Wake buckets are not
     stored — they are an index over ``ctx._wake_round``, rebuilt on
     restore.
+
+    Random streams are stored for live vertices only, packed.  A halted
+    vertex (``fail`` halts too) never steps again, so its stream is
+    unobservable: it gets ``None`` and keeps the stream
+    ``build_contexts`` gave it on restore.  A live vertex's
+    ``random.Random`` state becomes ``(gauss_next, bytes)``, the 625
+    state words packed by :data:`_MT_STATE` (2500 bytes) instead of a
+    tuple of 625 boxed ints.
     """
+    pack = _MT_STATE.pack
     nodes: List[Tuple[Any, ...]] = []
     for ctx in state.contexts:
+        rng = ctx._rng
+        rng_state: Optional[Tuple[Any, bytes]] = None
+        if rng is not None and not ctx.halted:
+            _, words, gauss_next = rng.getstate()
+            rng_state = (gauss_next, pack(*words))
         nodes.append(
             (
                 ctx.state,
@@ -655,7 +675,7 @@ def _capture_scalar_state(state: _ScalarState) -> Dict[str, Any]:
                 ctx.output,
                 ctx.failure,
                 ctx.failure_round,
-                ctx._rng.getstate() if ctx._rng is not None else None,
+                rng_state,
             )
         )
     faults = state.faults
@@ -687,6 +707,7 @@ def _restore_scalar_state(
             f"snapshot holds {len(nodes)} vertices but the run has "
             f"{len(state.contexts)} — resume on the same graph"
         )
+    unpack = _MT_STATE.unpack
     for ctx, snap in zip(state.contexts, nodes):
         (
             ctx.state,
@@ -704,7 +725,8 @@ def _restore_scalar_state(
         ctx._pub_dirty = False
         if rng_state is not None:
             assert ctx._rng is not None
-            ctx._rng.setstate(rng_state)
+            gauss_next, packed = rng_state
+            ctx._rng.setstate((3, unpack(packed), gauss_next))
     faults = state.faults
     if faults is not None and faults._last is not None:
         faults._last.clear()

@@ -227,10 +227,15 @@ class MetricsObserver(BatchRunObserver):
         self.runs = 0
         #: Per-run, per-round curve: list (over runs) of lists of dicts.
         self.round_curves: List[List[Dict[str, Any]]] = []
-        self._n = 0
-        self._graph: Any = None
-        self._radius: List[int] = []
-        self._pub_radius: List[int] = []
+        self._start_run_state(0, None)
+
+    def _start_run_state(self, n: int, graph: Any) -> None:
+        """Reset the per-run state for a run on ``graph`` (``n = 0``
+        and no graph between runs)."""
+        self._n = n
+        self._graph: Any = graph
+        self._radius: List[int] = [0] * n
+        self._pub_radius: List[int] = [0] * n
         self._pending_radius: Dict[int, int] = {}
         self._round_payload = 0
         self._round_publishes = 0
@@ -245,18 +250,7 @@ class MetricsObserver(BatchRunObserver):
     def on_run_start(self, meta: RunMeta) -> None:
         self.runs += 1
         self.round_curves.append([])
-        self._n = meta.n
-        self._graph = meta.graph
-        self._radius = [0] * meta.n
-        self._pub_radius = [0] * meta.n
-        self._pending_radius = {}
-        self._round_payload = 0
-        self._round_publishes = 0
-        self._vec = False
-        self._radius_np = None
-        self._pub_radius_np = None
-        self._pending_np = []
-        self._csr = None
+        self._start_run_state(meta.n, meta.graph)
 
     def on_round_start(self, round_index: int, active: int) -> None:
         # Publishes staged last round (or in setup) became visible at
@@ -358,6 +352,9 @@ class MetricsObserver(BatchRunObserver):
         else:
             self.registry.counter("runs_succeeded_total").inc()
         self.registry.counter("runs_vertices_total").inc(self._n)
+        # The run's locality state is dead once it ends: drop it, so an
+        # idle observer (and a finished slot's .done) holds no graph.
+        self._start_run_state(0, None)
 
     def on_run_fault(self, round_index: int, fault: Any) -> None:
         # Vectorized delivery of what the scalar engines report as a

@@ -8,7 +8,9 @@ fresh-tail), observer capability gating, and the LM012 unpicklable-
 state diagnostic.
 """
 
+import contextlib
 import io
+import json
 import os
 import pickle
 import random
@@ -24,9 +26,9 @@ from repro.core import (
 )
 from repro.core.algorithm import SyncAlgorithm
 from repro.core.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointPolicy,
-    CheckpointSession,
     checkpointing,
     load_checkpoint,
     save_checkpoint,
@@ -90,6 +92,69 @@ class NoisyAccumulator(SyncAlgorithm):
             ctx.halt(ctx.state["acc"] & 0xFFFFFF)
         else:
             ctx.publish(ctx.random.randrange(1 << 16))
+
+
+class ShatterDraws(SyncAlgorithm):
+    """RandLOCAL fixture for the scalar snapshot's random streams.
+
+    Ordinary vertices halt at random from round 1 on, so some halt
+    before a round-3 snapshot while the rest keep drawing after it.
+    Two marked vertices never halt early: ``"deep"`` draws 700 words
+    in setup (past the first 624-word Mersenne Twister block) and
+    ``"gauss"`` leaves a pending ``gauss_next`` from setup that it
+    consumes only at ``gauss_round``.  Every draw feeds the outputs.
+    """
+
+    name = "shatter-draws"
+
+    def __init__(self, rounds=8, gauss_round=5):
+        self.rounds = rounds
+        self.gauss_round = gauss_round
+
+    def setup(self, ctx):
+        role = ctx.input.get("role")
+        ctx.state["acc"] = 0
+        ctx.state["r"] = 0
+        if role == "deep":
+            ctx.state["acc"] = ctx.random.getrandbits(32 * 700) & 0xFFFF
+        elif role == "gauss":
+            ctx.state["acc"] = int(ctx.random.gauss(0.0, 1.0) * 1e6)
+        ctx.publish(ctx.random.randrange(1 << 16))
+
+    def step(self, ctx, inbox):
+        role = ctx.input.get("role")
+        draw = ctx.random.randrange(1 << 16)
+        ctx.state["acc"] += sum(inbox) + draw
+        if role == "gauss" and ctx.state["r"] == self.gauss_round:
+            ctx.state["acc"] += int(ctx.random.gauss(0.0, 1.0) * 1e6)
+        ctx.state["r"] += 1
+        if ctx.state["r"] >= self.rounds or (
+            role is None and ctx.state["r"] >= 1 and draw % 3 == 0
+        ):
+            ctx.halt(ctx.state["acc"] & 0xFFFFFF)
+        else:
+            ctx.publish(draw)
+
+
+#: Vertices of :func:`tree` carrying the ShatterDraws roles.
+DEEP_VERTEX = 7
+GAUSS_VERTEX = 11
+
+
+def run_shatter(seed=9, **kwargs):
+    g = tree()
+    roles = {DEEP_VERTEX: "deep", GAUSS_VERTEX: "gauss"}
+    return run_local(
+        g,
+        ShatterDraws(),
+        Model.RAND,
+        seed=seed,
+        node_inputs=[
+            {"role": roles[v]} if v in roles else {}
+            for v in range(g.num_vertices)
+        ],
+        **kwargs,
+    )
 
 
 class LambdaHoarder(SyncAlgorithm):
@@ -175,18 +240,32 @@ class TestFileFormat:
         with pytest.raises(CheckpointError, match="is not a"):
             load_checkpoint(path)
 
-    def test_newer_version_rejected(self, tmp_path):
-        path = tmp_path / "slot-0000.ckpt"
+    @staticmethod
+    def _rewrite_version(path, version):
         payload = pickle.dumps(1)
         save_checkpoint(path, {}, payload)
         header, _ = load_checkpoint(path)
-        import hashlib
-        import json
-
-        header["version"] = 99
+        header["version"] = version
         line = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(line + b"\n" + payload)
+
+    def test_newer_version_rejected(self, tmp_path):
+        path = tmp_path / "slot-0000.ckpt"
+        self._rewrite_version(path, 99)
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    def test_older_version_rejected(self, tmp_path):
+        """A version-1 snapshot stored every vertex's stream as 625
+        ints; this build must refuse it loudly, naming both versions,
+        instead of unpacking it wrongly."""
+        path = tmp_path / "slot-0000.ckpt"
+        self._rewrite_version(path, CHECKPOINT_VERSION - 1)
+        with pytest.raises(
+            CheckpointError,
+            match=f"version {CHECKPOINT_VERSION - 1}.*"
+            f"version {CHECKPOINT_VERSION}",
+        ):
             load_checkpoint(path)
 
 
@@ -209,7 +288,7 @@ class TestPolicyValidation:
 # ----------------------------------------------------------------------
 # Kill + resume on every backend (the mechanism behind the relation)
 # ----------------------------------------------------------------------
-def _observed_run(kill, rounds=12, seed=9):
+def _observed_run(kill, run):
     metrics = MetricsObserver()
     sink = io.StringIO()
     trace = JsonlTraceObserver(sink)
@@ -217,39 +296,42 @@ def _observed_run(kill, rounds=12, seed=9):
     error = None
     with observe_runs(metrics, trace, kill):
         try:
-            outcome = run_noisy(rounds=rounds, seed=seed)
+            outcome = run()
         except _Kill as exc:
             error = exc
     return outcome, error, sink, metrics
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("plan", [None, "crash"])
-def test_kill_resume_is_byte_identical(tmp_path, backend, plan):
-    fault_plan = (
-        None
-        if plan is None
-        else FaultPlan(seed=77, crash_rate=0.08, crash_round=1)
-    )
-    import contextlib
+CRASH_PLAN = FaultPlan(seed=77, crash_rate=0.08, crash_round=1)
 
-    def scoped(extra=None):
+
+def _assert_kill_resume_identical(
+    tmp_path, backend, plan, run, every_rounds=1, kill_after=5
+):
+    """Run uninterrupted, then kill after ``kill_after`` round batches
+    under checkpointing and resume: the resumed RunResult, trace bytes
+    and metrics must equal the uninterrupted run's.  Returns the resume
+    scope's events."""
+    fault_plan = None if plan is None else CRASH_PLAN
+
+    def scoped():
         stack = contextlib.ExitStack()
         stack.enter_context(use_backend(backend))
         if fault_plan is not None:
             stack.enter_context(inject_faults(fault_plan))
-        if extra is not None:
-            stack.enter_context(extra)
         return stack
 
     with scoped():
         baseline, err, base_sink, base_metrics = _observed_run(
-            KillSwitch(None)
+            KillSwitch(None), run
         )
     assert err is None
 
-    with scoped(checkpointing(str(tmp_path), every_rounds=1)):
-        _, err, kill_sink, _ = _observed_run(KillSwitch(5))
+    with scoped() as stack:
+        stack.enter_context(
+            checkpointing(str(tmp_path), every_rounds=every_rounds)
+        )
+        _, err, kill_sink, _ = _observed_run(KillSwitch(kill_after), run)
     assert err is not None, "the injected kill must fire"
     assert any(
         name.endswith(".ckpt") for name in os.listdir(tmp_path)
@@ -259,14 +341,81 @@ def test_kill_resume_is_byte_identical(tmp_path, backend, plan):
     resume_sink.write(kill_sink.getvalue())
     metrics = MetricsObserver()
     trace = JsonlTraceObserver(resume_sink)
-    with scoped(
-        checkpointing(str(tmp_path), every_rounds=1, resume=True)
-    ), observe_runs(metrics, trace, KillSwitch(None)):
-        resumed = run_noisy()
+    with scoped() as stack:
+        scope = stack.enter_context(
+            checkpointing(
+                str(tmp_path), every_rounds=every_rounds, resume=True
+            )
+        )
+        with observe_runs(metrics, trace, KillSwitch(None)):
+            resumed = run()
 
     assert resumed == baseline
     assert resume_sink.getvalue() == base_sink.getvalue()
     assert metrics.summary() == base_metrics.summary()
+    return scope.events
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("plan", [None, "crash"])
+def test_kill_resume_is_byte_identical(tmp_path, backend, plan):
+    _assert_kill_resume_identical(tmp_path, backend, plan, run_noisy)
+
+
+# ----------------------------------------------------------------------
+# The scalar snapshot's random streams (fast and reference engines)
+# ----------------------------------------------------------------------
+SCALAR_BACKENDS = [b for b in ("fast", "reference") if b in BACKENDS]
+
+
+@pytest.mark.parametrize("backend", SCALAR_BACKENDS)
+@pytest.mark.parametrize("plan", [None, "crash"])
+def test_scalar_resume_restores_live_streams(tmp_path, backend, plan):
+    """Kill right after the round-3 snapshot and resume from it: some
+    vertices halted before it, the rest draw after it, one is past its
+    first Mersenne Twister block and one has ``gauss_next`` pending."""
+    events = _assert_kill_resume_identical(
+        tmp_path, backend, plan, run_shatter, every_rounds=3, kill_after=4
+    )
+    assert events == [{"slot": 0, "action": "restored", "rounds": 3}]
+
+
+@pytest.mark.parametrize("backend", SCALAR_BACKENDS)
+def test_scalar_snapshot_stores_only_live_streams_packed(
+    tmp_path, backend
+):
+    """Size pin: a halted vertex's stream costs nothing and a live one's
+    is one packed state, not a tuple of 625 ints."""
+    with use_backend(backend):
+        with checkpointing(str(tmp_path), every_rounds=3):
+            with pytest.raises(_Kill):
+                with observe_runs(KillSwitch(4)):
+                    run_shatter()
+    header, payload = load_checkpoint(tmp_path / "slot-0000.ckpt")
+    assert header["rounds"] == 3 and header["format"] == "scalar"
+    nodes = payload["engine"]["nodes"]
+    halted = [snap for snap in nodes if snap[4]]
+    live = [snap for snap in nodes if not snap[4]]
+    assert halted and live, "the fixture must shatter by round 3"
+    assert all(snap[8] is None for snap in halted)
+    for snap in live:
+        size = len(pickle.dumps(snap[8], protocol=pickle.HIGHEST_PROTOCOL))
+        assert 0 < size <= 2600, size
+    assert not nodes[DEEP_VERTEX][4] and not nodes[GAUSS_VERTEX][4]
+    gauss_next, _ = nodes[GAUSS_VERTEX][8]
+    assert gauss_next is not None, "gauss_next must be pending"
+
+
+def test_finished_slots_keep_only_done_files(tmp_path):
+    """Once a slot's .done is written its in-flight .ckpt is dropped."""
+    with checkpointing(str(tmp_path), every_rounds=1) as scope:
+        run_noisy(rounds=6, seed=1)
+        run_noisy(rounds=6, seed=2)
+    assert scope.next_slot == 2
+    assert sorted(os.listdir(tmp_path)) == [
+        "slot-0000.done",
+        "slot-0001.done",
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -377,12 +526,17 @@ def test_corrupted_snapshot_is_loud_on_resume(tmp_path):
 
 
 def test_every_seconds_cadence_saves(tmp_path):
+    beats = []
     policy = CheckpointPolicy(
-        path=str(tmp_path), every_seconds=1e-9, resume=False
+        path=str(tmp_path),
+        every_seconds=1e-9,
+        resume=False,
+        heartbeat=beats.append,
+        heartbeat_seconds=1e9,
     )
     run_noisy(checkpoint=policy)
-    assert os.path.exists(tmp_path / "slot-0000.ckpt")
-    assert os.path.exists(tmp_path / "slot-0000.done")
+    assert any(b.get("saved") for b in beats)
+    assert os.listdir(tmp_path) == ["slot-0000.done"]
 
 
 def test_run_local_checkpoint_kwarg_resumes(tmp_path):

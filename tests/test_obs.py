@@ -15,7 +15,6 @@ Pins the tentpole contracts of the observability subsystem:
 
 import io
 import json
-import random
 
 import pytest
 
@@ -297,6 +296,16 @@ class TestMetrics:
         obs = MetricsObserver()
         run_local(graph, TwoRound(), Model.DET, observers=[obs])
         assert obs.summary()["metrics"]["locality_radius"]["max"] == 2
+
+    def test_finished_run_drops_per_run_state(self):
+        # A finished slot's checkpoint holds the observer's state: once
+        # the run ends it must carry no graph or per-vertex radii.
+        obs = MetricsObserver()
+        run_local(path_graph(8), TwoRound(), Model.DET, observers=[obs])
+        state = obs.checkpoint_state()
+        assert state["_graph"] is None
+        assert state["_radius"] == [] and state["_pub_radius"] == []
+        assert obs.summary()["metrics"]["max_locality_radius"]["value"] == 2
 
     def test_estimate_payload_bytes_deterministic(self):
         class Opaque:
