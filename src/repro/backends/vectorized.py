@@ -30,7 +30,7 @@ bit-identical or is impossible:
   ``on_round_batch``, with kernels reporting their published values
   through :meth:`VectorRun.record_publish`, and the resulting
   telemetry (metrics summaries, trace bytes) is identical to the
-  scalar engines' per-event stream;
+  scalar engines';
 - the active fault plan touches messages (drop/duplicate/corrupt need
   materialized per-port inboxes) — round budgets stay on the
   vectorized path, and so do crash-stop faults when the kernel

@@ -47,7 +47,9 @@ single ``hub is not None`` test, so runs without observers pay nothing,
 and the two engines emit **identical event streams** for the same run —
 per-node events are delivered in ascending vertex order and
 bulk-accounted sleeping rounds are reported through synthesized
-round-start/round-end events.  See ``docs/observability.md``.
+round-start/round-end events.  Batch-capable observers receive those
+events as one shared ``RoundBatch`` per round (see
+:class:`_ObserverHub`).  See ``docs/observability.md``.
 
 Both engines also accept a *fault plan* (``fault_plan=...`` or
 ambiently via :func:`inject_faults`): a seeded, deterministic adversary
@@ -172,7 +174,19 @@ class RunMeta:
 
 
 class _ObserverHub:
-    """Fans one engine event out to every attached observer.
+    """Delivers one run's engine events to every attached observer.
+
+    Observers split by their ``batch_capable`` flag:
+
+    - batch-capable observers get one ``repro.obs.RoundBatch`` per
+      round (and one for the setup pass), assembled here from the
+      per-event calls below and shared: every batch observer of a
+      round receives the same object, so lazily derived columns
+      (``publish_bytes()``) are computed once.  Run-level faults
+      (vertex ``None``) go to ``on_run_fault`` at once — the run raises
+      right after;
+    - plain observers get one callback per event, in the ordering
+      contract's order.
 
     The engines hold ``hub = None`` when nothing is attached, so the
     hot loop pays exactly one ``is not None`` test per vertex-step; all
@@ -181,35 +195,109 @@ class _ObserverHub:
     what it measures.
     """
 
-    __slots__ = ("observers",)
+    __slots__ = (
+        "observers",
+        "plain",
+        "batched",
+        "_round",
+        "_active",
+        "_stepped",
+        "_published",
+        "_values",
+        "_halted",
+        "_halt_values",
+        "_failed",
+        "_fail_reasons",
+        "_faults",
+    )
 
     def __init__(self, observers: Sequence[Any]) -> None:
         self.observers = tuple(observers)
+        self.batched = tuple(
+            obs for obs in observers if getattr(obs, "batch_capable", False)
+        )
+        self.plain = tuple(
+            obs
+            for obs in observers
+            if not getattr(obs, "batch_capable", False)
+        )
+        self._open(SETUP_ROUND, 0)
+
+    def _open(self, round_index: int, active: int) -> None:
+        """Start collecting the columns of round ``round_index``."""
+        self._round = round_index
+        self._active = active
+        self._stepped: List[int] = []
+        self._published: List[int] = []
+        self._values: List[Any] = []
+        self._halted: List[int] = []
+        self._halt_values: List[Any] = []
+        self._failed: List[int] = []
+        self._fail_reasons: List[str] = []
+        self._faults: List[Tuple[int, Any]] = []
+
+    def _deliver(self, awake: int, halted: int, messages: int) -> None:
+        """Hand the collected round to every batch observer as one
+        shared batch."""
+        from ..obs.observer import RoundBatch
+
+        batch = RoundBatch(
+            self._round,
+            active=self._active,
+            awake=awake,
+            halted=halted,
+            messages=messages,
+            stepped=self._stepped,
+            published=self._published,
+            publish_values=self._values,
+            halted_verts=self._halted,
+            halt_values=self._halt_values,
+            failed=self._failed,
+            fail_reasons=self._fail_reasons,
+            faults=self._faults,
+        )
+        for obs in self.batched:
+            obs.on_round_batch(batch)
 
     def run_start(self, meta: RunMeta) -> None:
         for obs in self.observers:
             obs.on_run_start(meta)
 
+    def setup_end(self) -> None:
+        """The setup pass finished: deliver its batch now, so a
+        checkpoint due at the first round boundary already holds the
+        setup events."""
+        if self.batched:
+            self._deliver(0, 0, 0)
+
     def round_start(self, round_index: int, active: int) -> None:
-        for obs in self.observers:
+        self._open(round_index, active)
+        for obs in self.plain:
             obs.on_round_start(round_index, active)
 
     def node_step(
         self, round_index: int, vertex: int, ctx: NodeContext
     ) -> None:
-        for obs in self.observers:
+        self._stepped.append(vertex)
+        for obs in self.plain:
             obs.on_node_step(round_index, vertex, ctx)
 
     def publish(self, round_index: int, vertex: int, value: Any) -> None:
-        for obs in self.observers:
+        self._published.append(vertex)
+        self._values.append(value)
+        for obs in self.plain:
             obs.on_publish(round_index, vertex, value)
 
     def halt(self, round_index: int, vertex: int, output: Any) -> None:
-        for obs in self.observers:
+        self._halted.append(vertex)
+        self._halt_values.append(output)
+        for obs in self.plain:
             obs.on_halt(round_index, vertex, output)
 
     def failure(self, round_index: int, vertex: int, reason: str) -> None:
-        for obs in self.observers:
+        self._failed.append(vertex)
+        self._fail_reasons.append(reason)
+        for obs in self.plain:
             obs.on_failure(round_index, vertex, reason)
 
     def fault(
@@ -217,7 +305,12 @@ class _ObserverHub:
     ) -> None:
         """An injected fault (``vertex`` is None for run-level faults
         like budget exhaustion)."""
-        for obs in self.observers:
+        if vertex is None:
+            for obs in self.batched:
+                obs.on_run_fault(round_index, fault)
+        else:
+            self._faults.append((vertex, fault))
+        for obs in self.plain:
             obs.on_fault(round_index, vertex, fault)
 
     def round_end(
@@ -227,8 +320,10 @@ class _ObserverHub:
         halted: int,
         messages: int,
     ) -> None:
-        for obs in self.observers:
+        for obs in self.plain:
             obs.on_round_end(round_index, awake, halted, messages)
+        if self.batched:
+            self._deliver(awake, halted, messages)
 
     def run_end(self, result: "RunResult") -> None:
         for obs in self.observers:
@@ -238,7 +333,8 @@ class _ObserverHub:
         """The run died (algorithm exception, injected budget, kill
         signal surfacing as ``KeyboardInterrupt``) before ``run_end``.
         Observers that buffer output flush here so partial runs keep
-        their telemetry; the exception keeps propagating afterwards."""
+        their telemetry; the exception keeps propagating afterwards.
+        Batch observers never see the partial round."""
         for obs in self.observers:
             obs.on_run_abort(round_index, error)
 
@@ -327,7 +423,8 @@ def _run_setup(
     """Round-free setup pass, shared verbatim by both engines.
 
     Observer events fired here carry :data:`SETUP_ROUND` (-1): publishes
-    and halts that happen before the first communication round.
+    and halts that happen before the first communication round.  Batch
+    observers receive them as one setup batch when the pass ends.
     """
     for v, ctx in enumerate(contexts):
         ctx._clock = clock
@@ -340,6 +437,8 @@ def _run_setup(
             elif ctx.halted:
                 hub.halt(SETUP_ROUND, v, ctx.output)
         ctx._commit()
+    if hub is not None:
+        hub.setup_end()
 
 
 def make_node_rngs(n: int, seed: Optional[int]) -> List[random.Random]:

@@ -3,10 +3,11 @@
 **Plane 1 (deterministic)**: the engines (``run_local``, the reference
 implementation, and the vectorized backend) emit run/round boundaries,
 vertex steps, publishes, halts, failures, and faults to any attached
-:class:`RunObserver`.  Scalar engines deliver one callback per event;
-the vectorized backend delivers whole rounds at once to
-:class:`BatchRunObserver` subclasses via columnar :class:`RoundBatch`
-payloads — same facts, different shape.  Everything on this plane is
+:class:`RunObserver`.  :class:`BatchRunObserver` subclasses get whole
+rounds at once as columnar :class:`RoundBatch` payloads on every backend
+(assembled by the scalar engines' observer hub, native on the vectorized
+backend); plain observers get one callback per event on the scalar
+engines — same facts, different shape.  Everything on this plane is
 held to byte-identity: summaries and trace bytes are identical across
 engines, backends, and repeated runs of the same seed.
 

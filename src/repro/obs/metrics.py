@@ -24,10 +24,11 @@ combines them deterministically (counters add, gauges take the max,
 histograms pool their moments) and refuses summaries it cannot merge
 faithfully (foreign schema, newer version, unknown metric type).
 
-The observer is batch-capable (:class:`~repro.obs.BatchRunObserver`):
-on the scalar engines it accumulates from per-event callbacks, on the
-vectorized backend from columnar ``on_round_batch`` deliveries — both
-paths produce the *same summary*, a contract pinned per backend by the
+The observer is batch-only (:class:`~repro.obs.BatchRunObserver`): it
+accumulates from ``on_round_batch`` deliveries on every backend — the
+plain-list batches the scalar engines' observer hub assembles, and the
+numpy-column batches of the vectorized backend.  Both shapes produce
+the *same summary*, a contract pinned per backend by the
 observer-neutrality relation in :mod:`repro.verify`.  Histogram totals
 stay exact under bulk accumulation because every observed value is an
 integer far below 2**53 (or a single per-round float computed
@@ -39,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import RunMeta, RunResult, SETUP_ROUND, flat_adjacency
-from .observer import BatchRunObserver, RoundBatch, iter_scalar_events
+from .observer import BatchRunObserver, RoundBatch
 
 #: Schema version written by :meth:`MetricsObserver.summary`.  v2 added
 #: the run-outcome counters (``runs_succeeded_total`` etc.) and the
@@ -60,6 +61,26 @@ def estimate_payload_bytes(value: Any) -> int:
     opaque objects cost a flat :data:`_OPAQUE_OBJECT_BYTES` (their
     ``repr`` may embed addresses, which would poison determinism).
     """
+    # One exact-type test for the shapes publishes usually take; bool,
+    # float, bytes, dict, subclasses and opaque objects fall through to
+    # the general rule below.
+    kind = type(value)
+    if kind is int:
+        return (value.bit_length() + 7) // 8 or 1
+    if kind is tuple or kind is list or kind is set or kind is frozenset:
+        total = 2
+        for item in value:
+            # Int and str members (tags, colors) are sized in place.
+            item_kind = type(item)
+            if item_kind is int:
+                total += (item.bit_length() + 7) // 8 or 1
+            elif item_kind is str:
+                total += len(item.encode("utf-8"))
+            else:
+                total += estimate_payload_bytes(item)
+        return total
+    if kind is str:
+        return len(value.encode("utf-8"))
     if value is None:
         return 1
     if isinstance(value, bool):
@@ -194,12 +215,12 @@ class MetricsObserver(BatchRunObserver):
     ``on_run_start``.  Setup-round publishes are folded into the first
     round's payload accounting.
 
-    Batch-capable with two disjoint accumulation paths: the scalar
-    callbacks below (every one overridden, so the base-class shim never
-    engages) and :meth:`on_round_batch` for columnar deliveries.  When
-    a batch arrives with numpy columns, per-run locality state flips to
-    numpy arrays for that run and ball-growth becomes one CSR segment
-    reduction per round — same numbers, no per-vertex Python work.
+    Batch-only: every backend delivers one :class:`RoundBatch` per
+    round.  Plain-list batches (the scalar engines) accumulate in
+    Python, numpy-free; when a batch arrives with numpy columns (the
+    vectorized backend), per-run locality state flips to numpy arrays
+    for that run and ball-growth becomes one CSR segment reduction per
+    round — same numbers, no per-vertex Python work.
     """
 
     checkpoint_capable = True
@@ -236,7 +257,9 @@ class MetricsObserver(BatchRunObserver):
         self._graph: Any = graph
         self._radius: List[int] = [0] * n
         self._pub_radius: List[int] = [0] * n
-        self._pending_radius: Dict[int, int] = {}
+        #: Vertices that published in the last batch; their radii
+        #: become visible at the next round boundary.
+        self._pending_pub: Sequence[int] = ()
         self._round_payload = 0
         self._round_publishes = 0
         # Numpy-mode locality state (vectorized-backend runs only).
@@ -252,60 +275,14 @@ class MetricsObserver(BatchRunObserver):
         self.round_curves.append([])
         self._start_run_state(meta.n, meta.graph)
 
-    def on_round_start(self, round_index: int, active: int) -> None:
-        # Publishes staged last round (or in setup) became visible at
-        # this round boundary — commit their information radii, exactly
-        # like the engine's double buffering commits values.
-        if self._pending_radius:
-            for v, r in self._pending_radius.items():
-                self._pub_radius[v] = r
-            self._pending_radius = {}
-
-    def on_node_step(
-        self, round_index: int, vertex: int, ctx: Any
-    ) -> None:
-        if self._graph is not None:
-            grown = self._radius[vertex]
-            for u in self._graph.neighbors(vertex):
-                reach = self._pub_radius[u] + 1
-                if reach > grown:
-                    grown = reach
-            self._radius[vertex] = grown
-
-    def on_publish(
-        self, round_index: int, vertex: int, value: Any
-    ) -> None:
-        size = estimate_payload_bytes(value)
-        self.registry.counter("publishes_total").inc()
-        self.registry.counter("payload_bytes_total").inc(size)
-        self._round_payload += size
-        self._round_publishes += 1
-        if self._radius:
-            self._pending_radius[vertex] = self._radius[vertex]
-
-    def on_halt(self, round_index: int, vertex: int, output: Any) -> None:
-        self.registry.counter("halted_total").inc()
-        self.registry.histogram("halt_round").observe(round_index)
-        if self._radius:
-            self.registry.histogram("locality_radius").observe(
-                self._radius[vertex]
-            )
-
-    def on_failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        self.registry.counter("failed_total").inc()
-
-    def on_fault(
-        self, round_index: int, vertex: Optional[int], fault: Any
-    ) -> None:
+    def _count_fault(self, fault: Any) -> None:
         # Injected-fault accounting (see repro.faults): a global count
         # plus one counter per fault kind, so merged sweep telemetry
         # reports exactly what the adversary did.
         self.registry.counter("faults_total").inc()
         self.registry.counter(f"faults_{fault.kind}_total").inc()
 
-    def on_round_end(
+    def _end_round(
         self,
         round_index: int,
         awake: int,
@@ -357,44 +334,78 @@ class MetricsObserver(BatchRunObserver):
         self._start_run_state(0, None)
 
     def on_run_fault(self, round_index: int, fault: Any) -> None:
-        # Vectorized delivery of what the scalar engines report as a
-        # vertex-``None`` ``on_fault`` (round-budget exhaustion).
-        self.on_fault(round_index, None, fault)
+        # Round-budget exhaustion: the run raises right after.
+        self._count_fault(fault)
 
-    # -- the columnar accumulation path --------------------------------
+    # -- round batches --------------------------------------------------
     def on_round_batch(self, batch: RoundBatch) -> None:
-        has_np = (
+        if not self._vec and (
             hasattr(batch.stepped, "dtype")
             or hasattr(batch.published, "dtype")
             or hasattr(batch.halted_verts, "dtype")
-        )
-        if has_np and not self._vec:
+        ):
             self._enter_vector_mode()
         if self._vec:
             self._batch_np(batch)
-            return
-        # Plain-list batches (the scalar shim's shape): replay the
-        # scalar event order through the per-event callbacks — exact by
-        # construction, and numpy-free.
+        else:
+            self._batch_lists(batch)
+
+    def _batch_lists(self, batch: RoundBatch) -> None:
+        """Accumulate a plain-list batch, in Python."""
+        registry = self.registry
         r = batch.round_index
+        radius = self._radius
         if r != SETUP_ROUND:
-            self.on_round_start(r, batch.active)
-        for event in iter_scalar_events(batch):
-            kind = event[0]
-            if kind == "step":
-                self.on_node_step(event[1], event[2], None)
-            elif kind == "publish":
-                self.on_publish(event[1], event[2], event[3])
-            elif kind == "halt":
-                self.on_halt(event[1], event[2], event[3])
-            elif kind == "failure":
-                self.on_failure(event[1], event[2], event[3])
-            elif kind == "fault":
-                self.on_fault(event[1], event[2], event[3])
-        if r != SETUP_ROUND:
-            self.on_round_end(
-                r, batch.awake, batch.halted, batch.messages
+            # Publishes staged last round (or in setup) became visible
+            # at this round boundary — commit their information radii,
+            # exactly like the engine's double buffering commits
+            # values.  A publisher has not stepped since, so its
+            # radius is still the one it published with.
+            pub_radius = self._pub_radius
+            for v in self._pending_pub:
+                pub_radius[v] = radius[v]
+            # Ball growth: a stepping vertex's radius grows to one more
+            # than the largest radius its neighbors have published.
+            graph = self._graph
+            if graph is not None:
+                for v in batch.stepped:
+                    grown = radius[v]
+                    for u in graph.neighbors(v):
+                        reach = pub_radius[u] + 1
+                        if reach > grown:
+                            grown = reach
+                    radius[v] = grown
+        for _, fault in batch.faults:
+            self._count_fault(fault)
+        published = batch.published
+        if published:
+            npub = len(published)
+            total = sum(batch.publish_bytes())
+            registry.counter("publishes_total").inc(npub)
+            registry.counter("payload_bytes_total").inc(total)
+            self._round_payload += total
+            self._round_publishes += npub
+        self._pending_pub = published if radius else ()
+        halted = batch.halted_verts
+        if halted:
+            nhalt = len(halted)
+            registry.counter("halted_total").inc(nhalt)
+            _observe_bulk(
+                registry.histogram("halt_round"), nhalt, r * nhalt, r, r
             )
+            if radius:
+                radii = [radius[v] for v in halted]
+                _observe_bulk(
+                    registry.histogram("locality_radius"),
+                    nhalt,
+                    sum(radii),
+                    min(radii),
+                    max(radii),
+                )
+        if batch.failed:
+            registry.counter("failed_total").inc(len(batch.failed))
+        if r != SETUP_ROUND:
+            self._end_round(r, batch.awake, batch.halted, batch.messages)
 
     def _enter_vector_mode(self) -> None:
         import numpy as np
@@ -423,8 +434,8 @@ class MetricsObserver(BatchRunObserver):
                 self._pending_np = []
             if self._csr is not None and len(batch.stepped):
                 self._grow_radii_np(np, np.asarray(batch.stepped))
-        for vertex, fault in batch.faults:
-            self.on_fault(r, vertex, fault)
+        for _, fault in batch.faults:
+            self._count_fault(fault)
         npub = len(batch.published)
         if npub:
             sizes = np.asarray(batch.publish_bytes(), dtype=np.int64)
@@ -457,13 +468,11 @@ class MetricsObserver(BatchRunObserver):
         if nfail:
             registry.counter("failed_total").inc(nfail)
         if r != SETUP_ROUND:
-            self.on_round_end(
-                r, batch.awake, batch.halted, batch.messages
-            )
+            self._end_round(r, batch.awake, batch.halted, batch.messages)
 
     def _grow_radii_np(self, np: Any, stepped: Any) -> None:
         """Ball-growth for all stepping vertices as one CSR segment
-        reduction — the columnar twin of the ``on_node_step`` loop."""
+        reduction — the columnar twin of the list path's loop."""
         offsets, targets = self._csr
         starts = offsets[stepped]
         counts = offsets[stepped + 1] - starts

@@ -33,20 +33,25 @@ exhaustion emits one run-level ``on_fault`` (vertex ``None``) right
 before the run raises :class:`~repro.core.errors.BudgetExceededError`.
 
 **Round batches.**  :class:`BatchRunObserver` extends the protocol with
-a columnar delivery path: instead of one callback per event, a backend
-may deliver one :class:`RoundBatch` per round via ``on_round_batch``.
-The ``"vectorized"`` backend emits batches natively (numpy index
-arrays, no per-vertex Python dispatch); on the scalar engines the base
-class's scalar callbacks transparently assemble the same batches from
-per-event callbacks, so a batch observer works everywhere.  A batch
-carries exactly the information of the scalar event stream —
-:func:`iter_scalar_events` reconstructs the per-event order — so both
-delivery paths produce identical telemetry (the observer-neutrality
-relation in ``repro.verify`` pins this per backend).  One caveat on
-raising runs: a batch is delivered at its round boundary, so when the
-run raises mid-round the batched stream omits that final partial round
-while the scalar stream may include its prefix ("the stream simply
-stops" covers both).
+a columnar delivery path: instead of one callback per event, the
+observer receives one :class:`RoundBatch` per round (and one for the
+setup pass) via ``on_round_batch``, plus run-level faults via
+``on_run_fault``.  Every backend delivers batches.  The ``"vectorized"``
+backend emits them natively (numpy index arrays, no per-vertex Python
+dispatch); on the scalar engines the engine's observer hub assembles
+one batch per round (plain-list columns) from its per-event calls and
+hands the *same* batch object to every batch-capable observer, so
+derived columns such as :meth:`RoundBatch.publish_bytes` are computed
+once per round.  Plain :class:`RunObserver`\\ s attached beside them keep
+their per-event callbacks.  A batch carries exactly the information of
+the scalar event stream — :func:`iter_scalar_events` reconstructs the
+per-event order — so both delivery paths produce identical telemetry
+(the observer-neutrality relation in ``repro.verify`` pins this per
+backend).  The setup batch is delivered as soon as ``setup`` ends.
+One caveat on raising runs: a batch is delivered at its round
+boundary, so when the run raises mid-round the batched stream omits
+that final partial round while a plain observer's stream may include
+its prefix ("the stream simply stops" covers both).
 
 Observers are **read-only spectators**.  The ``ctx`` handed to
 ``on_node_step`` is live engine state, and the arrays inside a
@@ -68,7 +73,7 @@ from typing import (
 )
 
 from ..core.context import NodeContext
-from ..core.engine import RunMeta, RunResult, SETUP_ROUND
+from ..core.engine import RunMeta, RunResult
 from ..core.errors import FaultEvent
 
 #: Sentinel batch payload meaning "no value recorded".
@@ -174,15 +179,15 @@ class RoundBatch:
 
     Vertex columns are ascending index sequences — numpy int64 arrays
     when emitted by the vectorized backend, plain lists when assembled
-    by the scalar shim; consume them duck-typed (``len``, iteration,
-    and integer indexing work on both).  Payload columns are aligned
-    with their vertex column.  All columns may be backend-owned storage
-    — treat them as read-only (rule LM008).
+    by the scalar engines' observer hub; consume them duck-typed
+    (``len``, iteration, and integer indexing work on both).  Payload
+    columns are aligned with their vertex column.  All columns may be
+    backend-owned storage — treat them as read-only (rule LM008).
 
     ``round_index`` is :data:`repro.core.SETUP_ROUND` for the setup
     batch, in which case ``stepped`` is empty and the round bookkeeping
     fields (``active``/``awake``/``halted``/``messages``) are zero —
-    setup emits no round boundaries on the scalar path either.
+    setup emits no round boundaries to plain observers either.
     """
 
     __slots__ = (
@@ -271,84 +276,29 @@ class RoundBatch:
         return self._publish_bytes
 
 
-class _BatchBuilder:
-    """Accumulates one round's scalar events into a RoundBatch."""
-
-    __slots__ = (
-        "round_index",
-        "active",
-        "stepped",
-        "published",
-        "values",
-        "halted_verts",
-        "halt_values",
-        "failed",
-        "fail_reasons",
-        "faults",
-    )
-
-    def __init__(self, round_index: int, active: int = 0) -> None:
-        self.round_index = round_index
-        self.active = active
-        self.stepped: List[int] = []
-        self.published: List[int] = []
-        self.values: List[Any] = []
-        self.halted_verts: List[int] = []
-        self.halt_values: List[Any] = []
-        self.failed: List[int] = []
-        self.fail_reasons: List[str] = []
-        self.faults: List[Tuple[Optional[int], FaultEvent]] = []
-
-    def build(
-        self, awake: int = 0, halted: int = 0, messages: int = 0
-    ) -> RoundBatch:
-        return RoundBatch(
-            self.round_index,
-            active=self.active,
-            awake=awake,
-            halted=halted,
-            messages=messages,
-            stepped=self.stepped,
-            published=self.published,
-            publish_values=self.values,
-            halted_verts=self.halted_verts,
-            halt_values=self.halt_values,
-            failed=self.failed,
-            fail_reasons=self.fail_reasons,
-            faults=self.faults,
-        )
-
-
 class BatchRunObserver(RunObserver):
     """Observer consuming whole-round :class:`RoundBatch` payloads.
 
     Subclasses override :meth:`on_round_batch` (and optionally
-    :meth:`on_run_fault` / :meth:`on_backend_info`).  Two delivery
-    paths feed it:
+    :meth:`on_run_fault` / :meth:`on_backend_info`, plus the run
+    lifecycle callbacks ``on_run_start`` / ``on_run_end`` /
+    ``on_run_abort``).  Being ``batch_capable``, such an observer never
+    receives the per-event callbacks, on any backend:
 
     - the ``"vectorized"`` backend calls ``on_round_batch`` directly,
-      with numpy vertex columns, and never fires the per-vertex scalar
-      callbacks — attaching only batch-capable observers keeps it on
-      its native kernels (no scalar fallback);
-    - on the scalar engines, the base-class scalar callbacks assemble
-      batches from per-event callbacks and emit them at each round
-      boundary — a subclass that overrides ``on_run_start`` /
-      ``on_round_start`` / ``on_run_end`` (or any per-event callback)
-      while relying on this shim must call ``super()``.
-
-    Observers like :class:`~repro.obs.MetricsObserver` instead override
-    *all* scalar callbacks natively and implement ``on_round_batch`` as
-    a second accumulation path; the shim then never engages.
+      with numpy vertex columns — attaching only batch-capable
+      observers keeps it on its native kernels (no scalar fallback);
+    - on the scalar engines, the observer hub assembles one batch per
+      round with plain-list columns and shares it among every
+      batch-capable observer.
 
     ``batch_capable`` is the attribute backends test — keep it truthy.
     """
 
-    #: Backends check this flag: every attached observer must be batch
-    #: capable for the vectorized harness to stay on its kernels.
+    #: Backends check this flag: batch-capable observers are served
+    #: round batches, and every attached observer must be batch capable
+    #: for the vectorized harness to stay on its kernels.
     batch_capable = True
-
-    def __init__(self) -> None:
-        self._batch_pending: Optional[_BatchBuilder] = None
 
     # -- the batch-plane callbacks -------------------------------------
     def on_round_batch(self, batch: RoundBatch) -> None:
@@ -366,82 +316,6 @@ class BatchRunObserver(RunObserver):
         ``on_run_start`` by backends that know; the scalar engines do
         not call it).  ``kernel`` names the vectorized round kernel, or
         is ``None``."""
-
-    # -- scalar shim: assemble batches from per-event callbacks --------
-    def _builder(self, round_index: int) -> _BatchBuilder:
-        pending = self._batch_pending
-        if pending is None:
-            pending = _BatchBuilder(round_index)
-            self._batch_pending = pending
-        return pending
-
-    def _flush_pending(self) -> None:
-        pending = self._batch_pending
-        if pending is not None and pending.round_index == SETUP_ROUND:
-            self._batch_pending = None
-            self.on_round_batch(pending.build())
-
-    def on_run_start(self, meta: RunMeta) -> None:
-        self._batch_pending = None
-
-    def on_round_start(self, round_index: int, active: int) -> None:
-        self._flush_pending()
-        self._batch_pending = _BatchBuilder(round_index, active)
-
-    def on_node_step(
-        self, round_index: int, vertex: int, ctx: NodeContext
-    ) -> None:
-        self._builder(round_index).stepped.append(vertex)
-
-    def on_publish(
-        self, round_index: int, vertex: int, value: Any
-    ) -> None:
-        pending = self._builder(round_index)
-        pending.published.append(vertex)
-        pending.values.append(value)
-
-    def on_halt(self, round_index: int, vertex: int, output: Any) -> None:
-        pending = self._builder(round_index)
-        pending.halted_verts.append(vertex)
-        pending.halt_values.append(output)
-
-    def on_failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        pending = self._builder(round_index)
-        pending.failed.append(vertex)
-        pending.fail_reasons.append(reason)
-
-    def on_fault(
-        self,
-        round_index: int,
-        vertex: Optional[int],
-        fault: FaultEvent,
-    ) -> None:
-        if vertex is None:
-            # Run-level: the run raises right after — deliver now, the
-            # enclosing round (if any) will never reach its boundary.
-            self.on_run_fault(round_index, fault)
-            return
-        self._builder(round_index).faults.append((vertex, fault))
-
-    def on_round_end(
-        self,
-        round_index: int,
-        awake: int,
-        halted: int,
-        messages: int,
-    ) -> None:
-        pending = self._batch_pending
-        self._batch_pending = None
-        if pending is None:
-            pending = _BatchBuilder(round_index)
-        self.on_round_batch(pending.build(awake, halted, messages))
-
-    def on_run_end(self, result: RunResult) -> None:
-        # A run whose vertices all halt in setup executes zero rounds:
-        # the setup batch is flushed here instead of at a round start.
-        self._flush_pending()
 
 
 def iter_scalar_events(

@@ -15,12 +15,12 @@ byte-identity contract by design*:
   rounds/sec) to a terminal stream; it writes nothing durable.
 
 Both are :class:`~repro.obs.observer.BatchRunObserver` subclasses that
-implement **only** the batch callbacks — the inherited scalar shim
-translates per-event streams from the fast/reference engines into the
-same per-round batches the vectorized backend emits natively, so one
-code path serves every engine.  ``on_backend_info`` (batch plane only)
-attributes each run to the backend/kernel that executed it; scalar
-engines never call it, so the attribution stays ``null`` there.
+implement **only** the batch callbacks — the scalar engines' observer
+hub assembles the same per-round batches the vectorized backend emits
+natively, so one code path serves every engine.  ``on_backend_info``
+(batch plane only) attributes each run to the backend/kernel that
+executed it; scalar engines never call it, so the attribution stays
+``null`` there.
 
 Nothing in this module imports numpy: the sidecar must work in the
 no-numpy environment exactly as in the accelerated one.
@@ -43,6 +43,10 @@ from .observer import BatchRunObserver, RoundBatch
 #: of one must never assume anything about the other.
 TIMING_SCHEMA = "repro.obs.timing"
 TIMING_VERSION = 1
+
+#: The one encoder behind every sidecar line (``json.dumps`` with
+#: keyword arguments builds a fresh ``JSONEncoder`` per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _rss_kb() -> Optional[int]:
@@ -134,9 +138,7 @@ class TimingSidecarObserver(BatchRunObserver):
     # -- plumbing ---------------------------------------------------
 
     def _emit(self, obj: Dict[str, Any]) -> None:
-        self._stream.write(
-            json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        )
+        self._stream.write(_ENCODER.encode(obj))
         self._stream.write("\n")
         self.lines_written += 1
 
@@ -219,11 +221,6 @@ class TimingSidecarObserver(BatchRunObserver):
                 "t": round(self._now(), 6),
             }
         )
-
-    def restore_checkpoint(self, state: Any) -> None:
-        # Plane-2: nothing to rewind — a resumed (or restarted) run
-        # appends.  Only the scalar-shim batch buffer is reset.
-        self._batch_pending = None
 
     def on_run_abort(
         self, round_index: int, error: BaseException
@@ -320,9 +317,6 @@ class ProgressReporter(BatchRunObserver):
     #: Nothing durable to rewind — a checkpointed run may keep its
     #: progress ticker attached.
     checkpoint_capable = True
-
-    def restore_checkpoint(self, state: Any) -> None:
-        self._batch_pending = None
 
     def __init__(
         self,

@@ -49,7 +49,6 @@ from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
 
 from ..core.engine import RunMeta, RunResult, SETUP_ROUND
 from ..core.errors import FaultEvent
-from .metrics import estimate_payload_bytes
 from .observer import BatchRunObserver, RoundBatch, iter_scalar_events
 
 TRACE_SCHEMA = "repro.obs.trace"
@@ -67,6 +66,14 @@ SUPPORTED_TRACE_VERSIONS = (1, 2, 3)
 EMISSION_MODES = ("per-event", "batched")
 
 
+#: The one encoder behind every trace line: ``json.dumps`` with keyword
+#: arguments builds a fresh ``JSONEncoder`` per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Canonical text of set members (their sort key) and non-string keys.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def _json_safe(value: Any) -> Any:
     """Canonical JSON form of an arbitrary published/output value."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -77,10 +84,7 @@ def _json_safe(value: Any) -> Any:
         return [_json_safe(item) for item in value]
     if isinstance(value, (set, frozenset)):
         items = [_json_safe(item) for item in value]
-        return sorted(
-            items,
-            key=lambda x: json.dumps(x, sort_keys=True, default=str),
-        )
+        return sorted(items, key=_KEY_ENCODER.encode)
     if isinstance(value, dict):
         return {
             _key_str(k): _json_safe(v) for k, v in value.items()
@@ -95,11 +99,11 @@ def _json_safe(value: Any) -> Any:
 def _key_str(key: Any) -> str:
     if isinstance(key, str):
         return key
-    return json.dumps(_json_safe(key), sort_keys=True, default=str)
+    return _KEY_ENCODER.encode(_json_safe(key))
 
 
 def _dumps(obj: Dict[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _value_json(value: Any) -> str:
@@ -107,20 +111,19 @@ def _value_json(value: Any) -> str:
     :func:`_dumps` renders it nested (same sort/separators)."""
     if type(value) is int:  # the hot case: halt outputs, publish ints
         return repr(value)
-    return json.dumps(
-        _json_safe(value), sort_keys=True, separators=(",", ":")
-    )
+    return _ENCODER.encode(_json_safe(value))
 
 
 class JsonlTraceObserver(BatchRunObserver):
     """Stream engine events to a JSONL file (or open text stream).
 
-    Batch-capable: on the scalar engines every event arrives through a
-    per-event callback; on the vectorized backend whole rounds arrive
-    through :meth:`on_round_batch` and are serialized with the exact
-    same bytes (pinned by the observer-neutrality relation).  The
-    backend identity announced via ``on_backend_info`` is deliberately
-    *not* written — trace bytes must not betray the backend.
+    Batch-only: every backend delivers whole rounds through
+    :meth:`on_round_batch` — plain-list batches from the scalar
+    engines' observer hub, numpy-column batches from the vectorized
+    backend — and both serialize to the exact same bytes (pinned by
+    the observer-neutrality relation).  The backend identity announced
+    via ``on_backend_info`` is deliberately *not* written — trace bytes
+    must not betray the backend.
 
     Parameters
     ----------
@@ -209,7 +212,6 @@ class JsonlTraceObserver(BatchRunObserver):
         (done slot after done slot, then the in-flight snapshot), so
         truncating here would chop positions a later slot still needs.
         Only the fresh-start reset truncates."""
-        self._batch_pending = None
         self._stream.flush()
         if state is None:
             self._run = -1
@@ -248,100 +250,6 @@ class JsonlTraceObserver(BatchRunObserver):
             line["edges"] = [[u, v] for u, v in meta.graph.edges()]
         self._emit(line)
 
-    def on_round_start(self, round_index: int, active: int) -> None:
-        self._emit(
-            {
-                "event": "round_start",
-                "run": self._run,
-                "round": round_index,
-                "active": active,
-            }
-        )
-
-    def on_node_step(
-        self, round_index: int, vertex: int, ctx: Any
-    ) -> None:
-        if self.node_steps:
-            self._emit(
-                {
-                    "event": "step",
-                    "run": self._run,
-                    "round": round_index,
-                    "v": vertex,
-                }
-            )
-
-    def on_publish(
-        self, round_index: int, vertex: int, value: Any
-    ) -> None:
-        line: Dict[str, Any] = {
-            "event": "publish",
-            "run": self._run,
-            "round": round_index,
-            "v": vertex,
-            "bytes": estimate_payload_bytes(value),
-        }
-        if self.payload_values:
-            line["value"] = _json_safe(value)
-        self._emit(line)
-
-    def on_halt(self, round_index: int, vertex: int, output: Any) -> None:
-        self._emit(
-            {
-                "event": "halt",
-                "run": self._run,
-                "round": round_index,
-                "v": vertex,
-                "value": _json_safe(output),
-            }
-        )
-
-    def on_failure(
-        self, round_index: int, vertex: int, reason: str
-    ) -> None:
-        self._emit(
-            {
-                "event": "failure",
-                "run": self._run,
-                "round": round_index,
-                "v": vertex,
-                "reason": reason,
-            }
-        )
-
-    def on_fault(
-        self,
-        round_index: int,
-        vertex: Optional[int],
-        fault: FaultEvent,
-    ) -> None:
-        line: Dict[str, Any] = {
-            "event": "fault",
-            "run": self._run,
-            "round": round_index,
-            "v": vertex,
-        }
-        line.update(fault.as_record())
-        self._emit(line)
-
-    def on_round_end(
-        self,
-        round_index: int,
-        awake: int,
-        halted: int,
-        messages: int,
-    ) -> None:
-        self._emit(
-            {
-                "event": "round_end",
-                "run": self._run,
-                "round": round_index,
-                "awake": awake,
-                "halted": halted,
-                "messages": messages,
-            }
-        )
-
     def on_run_end(self, result: RunResult) -> None:
         self._emit(
             {
@@ -354,24 +262,27 @@ class JsonlTraceObserver(BatchRunObserver):
         )
         self._stream.flush()
 
-    # -- the columnar emission path ------------------------------------
     def on_run_fault(self, round_index: int, fault: FaultEvent) -> None:
-        # Vectorized delivery of the scalar engines' vertex-``None``
-        # ``on_fault`` (round-budget exhaustion) — same line.
-        self.on_fault(round_index, None, fault)
+        """Round-budget exhaustion: a ``fault`` line with ``v`` null."""
+        line: Dict[str, Any] = {
+            "event": "fault",
+            "run": self._run,
+            "round": round_index,
+            "v": None,
+        }
+        line.update(fault.as_record())
+        self._emit(line)
 
+    # -- round batches --------------------------------------------------
     def on_round_batch(self, batch: RoundBatch) -> None:
-        """Serialize one round batch — byte-identical to the per-event
-        path.
+        """Serialize one round batch.
 
-        Publish/halt-heavy rounds (the n = 10^6 regime) take a direct
-        string-building path: every hot line has only integer fields in
-        a fixed sorted-key order, so the JSON is assembled with
-        f-strings and written in one call instead of one
-        ``json.dumps`` per event.  Rounds with faults, failures, or
-        step lines replay :func:`iter_scalar_events` through the
-        per-event callbacks — the exact same code that serves the
-        scalar engines.
+        Publish/halt-only rounds (nearly all of them) take a direct
+        string-building path: every such line has only integer fields
+        in a fixed sorted-key order, so the JSON is assembled with
+        f-strings and written in one call instead of one ``json.dumps``
+        per event.  Rounds with faults, failures, or step lines are
+        replayed event by event (:meth:`_replay`).
         """
         r = batch.round_index
         run = self._run
@@ -386,18 +297,7 @@ class JsonlTraceObserver(BatchRunObserver):
             or len(batch.failed)
             or (self.node_steps and len(batch.stepped))
         ):
-            for event in iter_scalar_events(batch):
-                kind = event[0]
-                if kind == "publish":
-                    self.on_publish(event[1], event[2], event[3])
-                elif kind == "halt":
-                    self.on_halt(event[1], event[2], event[3])
-                elif kind == "step":
-                    self.on_node_step(event[1], event[2], None)
-                elif kind == "failure":
-                    self.on_failure(event[1], event[2], event[3])
-                else:
-                    self.on_fault(event[1], event[2], event[3])
+            self._replay(batch, run)
         else:
             self._write_publish_halt(batch, r, run)
         if r != SETUP_ROUND:
@@ -408,20 +308,40 @@ class JsonlTraceObserver(BatchRunObserver):
             )
             self.events_written += 1
 
+    def _replay(self, batch: RoundBatch, run: int) -> None:
+        """One line per event, in the scalar order
+        (:func:`iter_scalar_events`)."""
+        sizes = iter(
+            _as_list(batch.publish_bytes()) if len(batch.published) else ()
+        )
+        for kind, r, v, *rest in iter_scalar_events(batch):
+            if kind == "step" and not self.node_steps:
+                continue
+            line: Dict[str, Any] = {
+                "event": kind,
+                "run": run,
+                "round": r,
+                "v": v,
+            }
+            if kind == "publish":
+                line["bytes"] = next(sizes)
+                if self.payload_values:
+                    line["value"] = _json_safe(rest[0])
+            elif kind == "halt":
+                line["value"] = _json_safe(rest[0])
+            elif kind == "failure":
+                line["reason"] = rest[0]
+            elif kind == "fault":
+                line.update(rest[0].as_record())
+            self._emit(line)
+
     def _write_publish_halt(
         self, batch: RoundBatch, r: int, run: int
     ) -> None:
-        published = batch.published
-        pverts = (
-            published.tolist()
-            if hasattr(published, "tolist")
-            else list(published)
-        )
+        pverts = _as_list(batch.published)
         lines: List[str] = []
         if pverts:
-            pbytes = batch.publish_bytes()
-            if hasattr(pbytes, "tolist"):
-                pbytes = pbytes.tolist()
+            pbytes = _as_list(batch.publish_bytes())
             values = (
                 batch.publish_values() if self.payload_values else None
             )
@@ -441,11 +361,7 @@ class JsonlTraceObserver(BatchRunObserver):
             pub_lines = []
         halted = batch.halted_verts
         if len(halted):
-            hverts = (
-                halted.tolist()
-                if hasattr(halted, "tolist")
-                else list(halted)
-            )
+            hverts = _as_list(halted)
             hvals = batch.halt_values
             halt_lines = [
                 f'{{"event":"halt","round":{r},"run":{run},"v":{v},'
@@ -469,6 +385,14 @@ class JsonlTraceObserver(BatchRunObserver):
             self._stream.write("\n".join(lines))
             self._stream.write("\n")
             self.events_written += len(lines)
+
+
+def _as_list(column: Any) -> List[Any]:
+    """A batch column as a list of Python scalars (numpy columns from
+    the vectorized backend convert in one call)."""
+    if hasattr(column, "tolist"):
+        return column.tolist()
+    return list(column)
 
 
 def read_trace(

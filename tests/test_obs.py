@@ -13,10 +13,18 @@ Pins the tentpole contracts of the observability subsystem:
   clear TelemetryError failures for unusable observers.
 """
 
+import enum
 import io
 import json
+import os
+import subprocess
+import sys
+from collections import namedtuple
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import luby_mis
 from repro.analysis.experiments import ExperimentRecord, run_sweep
@@ -29,8 +37,12 @@ from repro.core import (
     run_local,
     run_local_reference,
 )
+from repro.core.checkpoint import checkpointing
+from repro.core.errors import BudgetExceededError
+from repro.faults import FaultPlan
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.obs import (
+    BatchRunObserver,
     JsonlTraceObserver,
     MetricsObserver,
     MetricsRegistry,
@@ -39,6 +51,9 @@ from repro.obs import (
     merge_summaries,
     read_trace,
 )
+
+
+ENGINES = {"fast": run_local, "reference": run_local_reference}
 
 
 class Recorder(RunObserver):
@@ -249,6 +264,70 @@ class TestEventStream:
         assert streams[0] == streams[1]
 
 
+def _frozen_payload_bytes(value):
+    """The isinstance-chain sizing rule, frozen as the oracle for
+    :func:`estimate_payload_bytes`'s exact-type dispatch."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return max(1, (value.bit_length() + 7) // 8)
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray)):
+        return len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 2 + sum(_frozen_payload_bytes(item) for item in value)
+    if isinstance(value, dict):
+        return 2 + sum(
+            _frozen_payload_bytes(k) + _frozen_payload_bytes(v)
+            for k, v in value.items()
+        )
+    if type(value).__repr__ is object.__repr__:
+        return 16
+    return len(repr(value).encode("utf-8"))
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+    WIDE = 1 << 70
+
+
+_Bid = namedtuple("_Bid", "tag colors")
+
+
+class _Opaque:
+    """Default ``repr`` (embeds an address)."""
+
+
+_HASHABLE_PAYLOADS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.sampled_from(list(_Color)),
+    st.builds(_Opaque),
+)
+
+_PAYLOADS = st.recursive(
+    _HASHABLE_PAYLOADS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.frozensets(_HASHABLE_PAYLOADS, max_size=4),
+        st.sets(_HASHABLE_PAYLOADS, max_size=4),
+        st.dictionaries(_HASHABLE_PAYLOADS, children, max_size=3),
+        st.builds(_Bid, st.text(max_size=4), children),
+    ),
+    max_leaves=20,
+)
+
+
 class TestMetrics:
     def test_registry_shapes(self):
         reg = MetricsRegistry()
@@ -323,6 +402,26 @@ class TestMetrics:
         assert estimate_payload_bytes(255) == 1
         assert estimate_payload_bytes(256) == 2
 
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_estimate_payload_bytes_matches_isinstance_rule(self, value):
+        assert estimate_payload_bytes(value) == _frozen_payload_bytes(value)
+
+    def test_estimate_payload_bytes_edge_values(self):
+        for value in (
+            True,
+            _Color.WIDE,
+            _Bid("bid", frozenset({1, 2})),
+            {"k": (1, -300)},
+            b"\x00\x01",
+            -(1 << 70),
+            1 << 70,
+            _Opaque(),
+        ):
+            assert estimate_payload_bytes(value) == _frozen_payload_bytes(
+                value
+            )
+
     def test_merge_summaries_is_order_insensitive(self):
         graph = cycle_graph(16)
         summaries = []
@@ -351,6 +450,20 @@ class TestJsonlTrace:
             node_inputs=inputs, observers=[obs],
         )
         return buf.getvalue()
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_writer_reproduces_committed_v3_fixture(self, engine):
+        fixture = (
+            Path(__file__).parent / "fixtures" / "traces" / "trace_v3.jsonl"
+        )
+        sink = io.StringIO()
+        ENGINES[engine](
+            cycle_graph(4),
+            TwoRound(),
+            Model.DET,
+            observers=[JsonlTraceObserver(sink, payload_values=True)],
+        )
+        assert sink.getvalue() == fixture.read_text()
 
     def test_byte_identical_across_repeats_and_engines(self):
         first = self.run_traced(run_local, payload_values=True)
@@ -420,6 +533,199 @@ class TestJsonlTrace:
         assert all(e["run"] == 1 for e in only_second)
         with pytest.raises(ValueError, match="no events for run 7"):
             read_trace(path, run=7)
+
+
+class _Kill(Exception):
+    """Injected mid-run death."""
+
+
+class _KillAt(BatchRunObserver):
+    """Raises while round ``kill_round`` is delivered (once)."""
+
+    checkpoint_capable = True
+
+    def __init__(self, kill_round=None):
+        self.kill_round = kill_round
+
+    def on_round_batch(self, batch):
+        if batch.round_index == self.kill_round:
+            self.kill_round = None
+            raise _Kill(f"killed in round {batch.round_index}")
+
+
+class TestObserverHub:
+    """The scalar engines' observer hub: one shared RoundBatch per
+    round for batch observers, per-event callbacks for plain ones."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_plain_observer_stream_unchanged_between_batch_observers(
+        self, engine
+    ):
+        graph = path_graph(30)
+        inputs = [{"wake": 2 + (v % 5)} for v in range(30)]
+        plan = FaultPlan(seed=3, crashes={4: 1})
+
+        def events(*around):
+            rec = Recorder()
+            trace = JsonlTraceObserver(io.StringIO())
+            observers = [trace, rec, MetricsObserver()] if around else [rec]
+            ENGINES[engine](
+                graph,
+                SleepyHalter(),
+                Model.DET,
+                node_inputs=inputs,
+                fault_plan=plan,
+                observers=observers,
+            )
+            return rec.events
+
+        alone = events()
+        kinds = {event[0] for event in alone}
+        assert {"step", "publish", "halt", "failure"} <= kinds
+        assert events("trace", "metrics") == alone
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_payload_sized_once_per_publish(self, engine, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return estimate_payload_bytes(value)
+
+        # Patch every module-level binding a sizer could be reached
+        # through; TwoRound publishes ints, so nothing recurses.
+        for module in ("repro.obs.metrics", "repro.obs.trace"):
+            monkeypatch.setattr(
+                f"{module}.estimate_payload_bytes", counting, raising=False
+            )
+        sink = io.StringIO()
+        metrics = MetricsObserver()
+        ENGINES[engine](
+            cycle_graph(12),
+            TwoRound(),
+            Model.DET,
+            observers=[JsonlTraceObserver(sink), metrics],
+        )
+        publishes = metrics.summary()["metrics"]["publishes_total"]["value"]
+        assert publishes == 24
+        assert sink.getvalue().count('"event":"publish"') == publishes
+        assert len(calls) == publishes
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_setup_batch_delivered_before_first_round(self, engine):
+        log = []
+
+        class Batches(BatchRunObserver):
+            def on_round_batch(self, batch):
+                log.append(("batch", batch.round_index))
+
+            def on_run_fault(self, round_index, fault):
+                log.append(("run_fault", round_index))
+
+        class Rounds(RunObserver):
+            def on_round_start(self, round_index, active):
+                log.append(("round_start", round_index))
+
+        ENGINES[engine](
+            path_graph(5),
+            TwoRound(),
+            Model.DET,
+            observers=[Rounds(), Batches()],
+        )
+        assert log[:3] == [
+            ("batch", SETUP_ROUND),
+            ("round_start", 0),
+            ("batch", 0),
+        ]
+        # A budget of 0 rounds raises before round 0 starts: the setup
+        # batch must already be out.
+        del log[:]
+        with pytest.raises(BudgetExceededError):
+            ENGINES[engine](
+                path_graph(5),
+                TwoRound(),
+                Model.DET,
+                fault_plan=FaultPlan(seed=1, round_budget=0),
+                observers=[Rounds(), Batches()],
+            )
+        assert log == [("batch", SETUP_ROUND), ("run_fault", 0)]
+
+    @pytest.mark.parametrize("kill_round", [0, 1])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_kill_at_first_boundary_resumes_trace_bytes(
+        self, engine, kill_round, tmp_path
+    ):
+        # every_rounds=1 snapshots at the first boundary (round 1);
+        # dying in round 0 restarts from the top, dying in round 1
+        # resumes from that snapshot.  Either way the trace bytes
+        # must equal an uninterrupted run's.
+        graph = path_graph(16)
+        inputs = [{"wake": 2 + (v % 5)} for v in range(16)]
+
+        def run(trace_path, kill):
+            with JsonlTraceObserver(str(trace_path), resume=True) as trace:
+                with checkpointing(
+                    str(tmp_path / "ckpt"), every_rounds=1, resume=True
+                ), observe_runs(trace, MetricsObserver(), kill):
+                    run_local(
+                        graph,
+                        SleepyHalter(),
+                        Model.DET,
+                        node_inputs=inputs,
+                        backend=engine,
+                    )
+
+        baseline = tmp_path / "baseline.jsonl"
+        with JsonlTraceObserver(str(baseline)) as trace:
+            run_local(
+                graph,
+                SleepyHalter(),
+                Model.DET,
+                node_inputs=inputs,
+                observers=[trace],
+                backend=engine,
+            )
+        resumed = tmp_path / "resumed.jsonl"
+        with pytest.raises(_Kill):
+            run(resumed, _KillAt(kill_round))
+        run(resumed, _KillAt())
+        assert resumed.read_bytes() == baseline.read_bytes()
+
+    def test_observed_fast_run_never_imports_numpy(self):
+        import repro
+
+        code = "\n".join(
+            [
+                "import io, random, sys",
+                "from repro.algorithms import pettie_su_tree_coloring",
+                "from repro.core import observe_runs, use_backend",
+                "from repro.graphs.generators import "
+                "random_tree_bounded_degree",
+                "from repro.obs import JsonlTraceObserver, MetricsObserver",
+                "tree = random_tree_bounded_degree(300, 9, random.Random(1))",
+                "trace = JsonlTraceObserver(io.StringIO())",
+                "metrics = MetricsObserver()",
+                "with use_backend('fast'), observe_runs(trace, metrics):",
+                "    pettie_su_tree_coloring(tree, seed=1)",
+                "summary = metrics.summary()['metrics']",
+                "assert summary['publishes_total']['value'] > 0",
+                "assert 'numpy' not in sys.modules, 'numpy was imported'",
+            ]
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        env.pop("REPRO_BACKEND", None)
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 def _sweep_measure(x, seed):

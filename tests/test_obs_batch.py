@@ -3,10 +3,10 @@
 Plane 1 (deterministic): the vectorized backend must feed attached
 ``BatchRunObserver`` instances natively — no fallback — and the
 summaries/trace bytes it produces must be byte-identical to the scalar
-engines'.  Covers the scalar shim (per-event streams re-batched), the
-crash/budget fault paths, zero-round runs, summary v2 merge
-fail-loudness, trace schema v1–v3 fixtures, and the streaming query
-layer.
+engines'.  Covers the scalar engines' observer hub (per-event streams
+batched), the crash/budget fault paths, zero-round runs, summary v2
+merge fail-loudness, trace schema v1–v3 fixtures, and the streaming
+query layer.
 
 Plane 2 (nondeterministic): the timing sidecar and progress reporters
 must attach without perturbing plane 1, attribute backends/kernels,
@@ -46,6 +46,7 @@ from repro.obs import (
     JsonlTraceObserver,
     MetricsObserver,
     RoundBatch,
+    RunObserver,
     iter_scalar_events,
     iter_trace,
     merge_summaries,
@@ -200,26 +201,33 @@ class TestVectorizedBatchedObservers:
         assert obs.seen == [("vectorized", "ColorBiddingKernel")]
 
     def test_non_batch_observer_still_falls_back(self):
-        class Scalar(MetricsObserver):
-            batch_capable = False
+        class Steps(RunObserver):
+            """Per-event only: node steps exist on the scalar engines."""
+
+            def __init__(self):
+                self.steps = 0
+
+            def on_node_step(self, round_index, vertex, ctx):
+                self.steps += 1
 
         fast = _capture("fast")
         graph, params = _color_bidding_tree()
-        metrics = Scalar()
+        steps, metrics = Steps(), MetricsObserver()
         run_local(
             graph,
             ColorBiddingAlgorithm(),
             Model.RAND,
             seed=7,
             global_params=params,
-            observers=[metrics],
+            observers=[steps, metrics],
             backend="vectorized",
         )
+        assert steps.steps > 0  # fell back to the per-node engine
         assert metrics.summary() == fast[0]
 
     def test_zero_round_run_emits_setup_batch(self):
         # Sleeper has no vectorized kernel, so the backend legitimately
-        # falls back — the scalar shim must still batch the setup round.
+        # falls back — the observer hub must still batch the setup round.
         rounds_seen = []
 
         class SetupWatcher(BatchRunObserver):
@@ -250,24 +258,48 @@ class TestVectorizedBatchedObservers:
 
 
 # ----------------------------------------------------------------------
-# Plane 1: the scalar shim re-batches per-event streams
+# Plane 1: the scalar engines' observer hub batches per-event streams
 # ----------------------------------------------------------------------
 class TestScalarShim:
+    """Round batches assembled by the scalar engines' observer hub."""
+
     def test_shim_batches_match_scalar_events(self):
+        for runner in (run_local, run_local_reference):
+            self._check_batches_match_scalar_events(runner)
+
+    def _check_batches_match_scalar_events(self, runner):
         batches = []
+        plain = []
 
         class Collect(BatchRunObserver):
             def on_round_batch(self, batch):
                 batches.append(batch)
 
+        class PerEvent(RunObserver):
+            def on_node_step(self, round_index, vertex, ctx):
+                plain.append(("step", round_index, vertex))
+
+            def on_publish(self, round_index, vertex, value):
+                plain.append(("publish", round_index, vertex, value))
+
+            def on_halt(self, round_index, vertex, output):
+                plain.append(("halt", round_index, vertex, output))
+
+            def on_failure(self, round_index, vertex, reason):
+                plain.append(("failure", round_index, vertex, reason))
+
+            def on_fault(self, round_index, vertex, fault):
+                plain.append(("fault", round_index, vertex, fault))
+
         graph, params = _color_bidding_tree(n=60)
-        run_local_reference(
+        runner(
             graph,
             ColorBiddingAlgorithm(),
             Model.RAND,
             seed=7,
             global_params=params,
-            observers=[Collect()],
+            fault_plan=FaultPlan(seed=5, crashes={3: 0}, drop_rate=0.05),
+            observers=[Collect(), PerEvent()],
         )
         assert batches[0].round_index == SETUP_ROUND
         # Round batches carry consistent per-round facts.
@@ -275,8 +307,10 @@ class TestScalarShim:
             assert batch.round_index >= 0
             assert len(batch.halted_verts) == len(batch.halt_values)
             assert batch.messages == 2 * graph.num_edges
-        total_halts = sum(len(b.halted_verts) for b in batches)
-        assert total_halts == graph.num_vertices
+        # ... and exactly the per-event stream a plain observer saw.
+        replayed = [e for b in batches for e in iter_scalar_events(b)]
+        assert replayed == plain
+        assert {e[0] for e in plain} >= {"fault", "failure", "halt"}
 
     def test_iter_scalar_events_orders_publish_before_halt(self):
         batch = RoundBatch(
