@@ -18,15 +18,19 @@ the harness and the kernel contract).  The cardinal rule is
 
 Registered kernels: ColorBidding (Theorem 10 Phase 1), Linial and
 oriented Linial (Theorems 1/2, the O(log* n) stages), H-partition
-peeling and the layer sweep (Theorem 9 stages 1 and 5).  The remaining
-drivers (Kuhn–Wattenhofer reduction, MIS, sinkless orientation, ...)
-run through the per-node fallback — registering a kernel here is all
-it takes to accelerate one.
+peeling, the Kuhn–Wattenhofer palette halving and the layer sweep
+(Theorem 9 stages 1, 4 and 5), so every phase of the Pettie–Su driver
+runs on kernels.  The remaining algorithms (MIS, matching, sinkless
+orientation, the class-by-class reduction, ...) run through the
+per-node fallback — registering a kernel here is all it takes to
+accelerate one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import chain, islice
+from operator import itemgetter
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .linial import (
     linial_schedule,
 )
 from .rand_tree_coloring import BAD, ColorBiddingAlgorithm
+from .reduction import KuhnWattenhoferReduction, _kw_stage_plan
 from .tree_coloring import LayerSweepColoring, PeelingAlgorithm
 from ..backends.vectorized import (
     RoundKernel,
@@ -637,3 +642,214 @@ class LayerSweepKernel(RoundKernel):
         )
         run.halt(awake, colors)
         self.final[awake] = colors  # commit after the gather above
+
+
+# ---------------------------------------------------------------------------
+# Kuhn–Wattenhofer palette halving (Theorem 9 stage 4, and the reduction
+# step of the Δ+1 / matching / edge-coloring / Δ55 drivers)
+# ---------------------------------------------------------------------------
+
+#: Published colors stay below this magnitude, so ``block · t + offset``
+#: and the payload-size arithmetic never leave int64.
+_MAX_KW_COLOR = 1 << 62
+
+
+def _int_bytes(values: np.ndarray) -> np.ndarray:
+    """``estimate_payload_bytes`` of each int: ⌈bit_length / 8⌉, >= 1."""
+    magnitude = np.abs(values)
+    out = np.ones(values.size, dtype=np.int64)
+    for k in range(1, 8):
+        out += magnitude >= (1 << (8 * k))
+    return out
+
+
+def _kw_columns(
+    run: VectorRun,
+) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """The KW node inputs as ``(colors, active)`` arrays, or ``None``
+    when the kernel cannot reproduce them exactly.
+
+    ``active`` masks the CSR slots of every vertex's ``active_ports``
+    (``None``: every vertex reads all ports).  Vetoed: colors that are
+    not exact ints below :data:`_MAX_KW_COLOR` in magnitude (a bool or
+    float color changes the scalar publishes), a mix of vertices with
+    and without ``active_ports``, and ports that are not exact ints in
+    ``0 .. degree-1`` (the scalar inbox would raise on or wrap them).
+    """
+    n = run.n
+    if run.node_inputs is None:
+        return None
+    inputs = list(islice(run.node_inputs, n))
+    if len(inputs) < n:
+        return None
+    try:
+        colors = list(map(itemgetter("color"), inputs))
+        ports = [ni.get("active_ports") for ni in inputs]
+    except (TypeError, KeyError, AttributeError):
+        return None
+    if not set(map(type, colors)) <= {int}:
+        return None
+    if not -_MAX_KW_COLOR < min(colors, default=0) <= max(
+        colors, default=0
+    ) < _MAX_KW_COLOR:
+        return None
+    color_array = np.array(colors, dtype=np.int64)
+    without = ports.count(None)
+    if without == n:
+        return color_array, None
+    if without:
+        return None
+    try:
+        counts = np.fromiter(map(len, ports), dtype=np.int64, count=n)
+        flat = list(chain.from_iterable(ports))
+        if not set(map(type, flat)) <= {int}:
+            return None
+        port_array = np.array(flat, dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
+    owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+    degree = run.offsets[1:] - run.offsets[:-1]
+    if ((port_array < 0) | (port_array >= degree[owner])).any():
+        return None
+    active = np.zeros(run.targets.size, dtype=bool)
+    active[run.offsets[owner] + port_array] = True
+    return color_array, active
+
+
+@register_kernel(KuhnWattenhoferReduction)
+class KuhnWattenhoferKernel(RoundKernel):
+    """Palette halving over ``(block, offset)`` arrays.
+
+    ``block`` / ``offset`` hold every vertex's published pair.  With
+    ``t = target``, stage ``s`` spans rounds ``s·t .. s·t + t - 1``.  A
+    vertex with ``offset >= t`` wakes at ``s·t + 2t - 1 - offset`` and
+    takes the smallest offset below ``t`` that no relevant same-block
+    neighbor publishes (a segment OR of offset bits over the
+    ``active_ports`` edge mask); at the stage's last round every live
+    vertex collapses to ``block · t + offset`` and re-splits, or halts
+    with it after the last stage.  The harness's wake buckets do the
+    scheduling, so a round steps only its recolorers and the stage ends.
+
+    Every live vertex halts in the same round, so a stepping vertex
+    never reads a final (int) publish: the scalar ``isinstance(pair,
+    tuple)`` filter is always true here.
+
+    Crash-safe: ``block`` / ``offset`` are scattered only for stepping
+    vertices, so a crashed vertex keeps publishing its frozen pair,
+    which same-block neighbors read exactly as the scalar path does.
+    """
+
+    handles_crashes = True
+
+    def __init__(self, run: VectorRun, algorithm: SyncAlgorithm) -> None:
+        super().__init__(run, algorithm)
+        self.target: int = run.globals["target"]
+        self.num_stages = len(
+            _kw_stage_plan(run.globals["palette"], self.target)
+        )
+        columns = _kw_columns(run)
+        assert columns is not None  # supports() vetoed otherwise
+        colors, active = columns
+        self.block, self.offset = np.divmod(colors, 2 * self.target)
+        #: Per-CSR-slot mask of the ports each vertex reads (None: all).
+        self.active = active
+
+    @classmethod
+    def supports(cls, algorithm: SyncAlgorithm, run: VectorRun) -> bool:
+        target = run.globals.get("target")
+        palette = run.globals.get("palette")
+        return (
+            type(target) is int
+            and type(palette) is int
+            and 1 <= target <= MAX_MASK_COLORS
+            and _kw_columns(run) is not None
+        )
+
+    def setup(self) -> None:
+        run = self.run
+        everyone = np.arange(run.n, dtype=np.int64)
+        if not self.num_stages:
+            colors = self.block * (2 * self.target) + self.offset
+            self._publish_colors(everyone, colors)
+            run.halt(everyone, colors)
+            return
+        self._publish_pairs(everyone)
+        self._sleep(everyone, 0)
+
+    def step(self, awake: np.ndarray, round_index: int) -> None:
+        run = self.run
+        t = self.target
+        stage, pos = divmod(round_index, t)
+        # Recolorers: offset 2t-1-pos of this stage (the wake buckets
+        # bring exactly these, plus everyone at the stage's last round).
+        recolor = awake[self.offset[awake] == 2 * t - 1 - pos]
+        if recolor.size:
+            e, seg, ptr = edge_slices(run.offsets, recolor)
+            neighbor = run.targets[e]
+            nb_offset = self.offset[neighbor]
+            same = (self.block[neighbor] == self.block[recolor][ptr]) & (
+                nb_offset < t
+            )
+            if self.active is not None:
+                same &= self.active[e]
+            contrib = np.where(
+                same,
+                np.left_shift(_ONE, np.where(same, nb_offset, 0)),
+                np.int64(0),
+            )
+            free = ~segment_or(contrib, seg) & ((_ONE << np.int64(t)) - _ONE)
+            if not free.all():
+                raise AssertionError(
+                    "no free color — caller violated the palette/degree "
+                    "precondition"
+                )
+            # Scatter after the gather above: double buffering.
+            self.offset[recolor] = _lowest_set_bit_index(free)
+        if pos < t - 1:
+            self._publish_pairs(recolor)
+            self._sleep(awake, stage)
+            return
+        # Stage end: collapse into the halved palette (``awake`` is every
+        # live vertex), then halt or re-split for the next stage.  Only
+        # the round's last publish is visible, as on the scalar path.
+        colors = self.block[awake] * t + self.offset[awake]
+        if stage + 1 >= self.num_stages:
+            self._publish_colors(awake, colors)
+            run.halt(awake, colors)
+            return
+        self.block[awake], self.offset[awake] = np.divmod(colors, 2 * t)
+        self._publish_pairs(awake)
+        self._sleep(awake, stage + 1)
+
+    def _publish_colors(self, verts: np.ndarray, colors: np.ndarray) -> None:
+        """Record ``verts``' final (int) color publishes."""
+        if self.run.observing:
+            self.run.record_publish(
+                verts, colors, payload_bytes=_int_bytes(colors)
+            )
+
+    def _publish_pairs(self, verts: np.ndarray) -> None:
+        """Record ``verts``' ``(block, offset)`` publishes."""
+        if not self.run.observing:
+            return
+        block = self.block[verts]
+        offset = self.offset[verts]
+        self.run.record_publish(
+            verts,
+            # estimate_payload_bytes((block, offset)): framing + two ints.
+            payload_bytes=2 + _int_bytes(block) + _int_bytes(offset),
+            values_fn=lambda: list(zip(block.tolist(), offset.tolist())),
+        )
+
+    def _sleep(self, verts: np.ndarray, stage: int) -> None:
+        """The scalar ``sleep_until(_next_wake)`` within ``stage``: the
+        recolor round for ``offset >= t``, else the stage's last round."""
+        t = self.target
+        start = stage * t
+        offset = self.offset[verts]
+        self.run.sleep(
+            verts,
+            np.where(
+                offset >= t, start + 2 * t - 1 - offset, start + t - 1
+            ),
+        )

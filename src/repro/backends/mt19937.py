@@ -50,16 +50,24 @@ _MATRIX_A = np.uint32(0x9908B0DF)
 _UPPER = np.uint32(0x80000000)
 _LOWER = np.uint32(0x7FFFFFFF)
 
-#: Columns processed per scratch pass (caps scratch at ~320 MB).
-_CHUNK = 1 << 17
+#: Columns seeded per scratch pass: a ``(624, _CHUNK)`` uint32 scratch
+#: state plus two ``_CHUNK``-wide row buffers that every in-place ufunc
+#: writes through.  Seeding n = 10^6 streams of 64 words took 4.9, 3.9,
+#: 3.1-3.3, 2.6-3.1, 2.7-3.0 and 3.0 s at 2^12 .. 2^17 columns (2-core
+#: x86-64, numpy 2.4): narrower chunks pay per-call overhead on the
+#: ~1250 row steps, wider ones only add memory.  2^15 keeps the scratch
+#: at 80 MB, where 2^17 cost 327 MB.
+_CHUNK = 1 << 15
 
 #: ``bit_length`` lookup for the randrange rejection loop (bounds the
 #: supported range; plenty for palette-sized draws).
 MAX_RANDRANGE = 1 << 16
-_BITLEN = np.array(
-    [0] + [int(v).bit_length() for v in range(1, MAX_RANDRANGE + 1)],
-    dtype=np.uint32,
-)
+# frexp(v) = m·2^e with 0.5 <= m < 1, so e is v's bit length (exact
+# for these small integers).
+_BITLEN = np.zeros(MAX_RANDRANGE + 1, dtype=np.uint32)
+_BITLEN[1:] = np.frexp(
+    np.arange(1, MAX_RANDRANGE + 1, dtype=np.float64)
+)[1]
 
 _init_genrand_base: Optional[np.ndarray] = None
 
@@ -79,30 +87,42 @@ def _base_state() -> np.ndarray:
     return _init_genrand_base
 
 
+_S1 = np.uint32(1)
+_S30 = np.uint32(30)
+_INIT_MUL1 = np.uint32(1664525)
+_INIT_MUL2 = np.uint32(1566083941)
+
+
 def _init_by_array_into(
-    mt: np.ndarray, key0: np.ndarray, key1: np.ndarray
+    mt: np.ndarray, key0: np.ndarray, key1: np.ndarray, tmp: np.ndarray
 ) -> None:
     """Vectorized two-limb ``init_by_array`` into the ``(624, k)``
-    scratch ``mt`` (every column keyed by ``[key0, key1]``)."""
+    scratch ``mt`` (every column keyed by ``[key0, key1]``).
+
+    Every row step writes through ``out=`` into ``mt`` itself or into
+    the ``k``-wide row buffer ``tmp``: no temporaries are allocated."""
     mt[:] = _base_state()[:, None]
-    terms = [key0, key1 + np.uint32(1)]  # key[j] + j, per j
+    terms = [key0, key1 + _S1]  # key[j] + j, per j
     i, j = 1, 0
     for _ in range(_N):
-        prev = mt[i - 1]
-        mt[i] = (
-            mt[i] ^ ((prev ^ (prev >> np.uint32(30))) * np.uint32(1664525))
-        ) + terms[j]
+        prev, row = mt[i - 1], mt[i]
+        np.right_shift(prev, _S30, out=tmp)
+        np.bitwise_xor(tmp, prev, out=tmp)
+        np.multiply(tmp, _INIT_MUL1, out=tmp)
+        np.bitwise_xor(row, tmp, out=row)
+        np.add(row, terms[j], out=row)
         i += 1
         j ^= 1
         if i >= _N:
             mt[0] = mt[_N - 1]
             i = 1
     for _ in range(_N - 1):
-        prev = mt[i - 1]
-        mt[i] = (
-            mt[i]
-            ^ ((prev ^ (prev >> np.uint32(30))) * np.uint32(1566083941))
-        ) - np.uint32(i)
+        prev, row = mt[i - 1], mt[i]
+        np.right_shift(prev, _S30, out=tmp)
+        np.bitwise_xor(tmp, prev, out=tmp)
+        np.multiply(tmp, _INIT_MUL2, out=tmp)
+        np.bitwise_xor(row, tmp, out=row)
+        np.subtract(row, np.uint32(i), out=row)
         i += 1
         if i >= _N:
             mt[0] = mt[_N - 1]
@@ -110,50 +130,40 @@ def _init_by_array_into(
     mt[0] = np.uint32(0x80000000)
 
 
-def _twist(y: np.ndarray, src: np.ndarray) -> np.ndarray:
-    return src ^ (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * _MATRIX_A)
-
-
-def _regenerate_prefix(mt: np.ndarray, depth: int) -> None:
+def _regenerate_prefix(
+    mt: np.ndarray, depth: int, tmp: np.ndarray, tmp2: np.ndarray
+) -> None:
     """Twist only the first ``depth`` rows of the next MT19937 block,
     in place, along axis 0 (rows past ``depth`` keep the old block —
     callers that stop at this block never read them).
 
-    The C loop's source ``mt[kk + M - N]`` re-reads rows the loop has
-    already rewritten, so the vectorized middle section must be split
-    where the data dependency wraps: rows [227, 454) read chunk-1
-    output, rows [454, 623) read the previous split's output.
-    """
-    d = min(depth, _N - _M)
-    y = (mt[0:d] & _UPPER) | (mt[1:d + 1] & _LOWER)
-    mt[0:d] = _twist(y, mt[_M:_M + d])
-    if depth <= _N - _M:
-        return
-    split = 2 * (_N - _M)  # 454: where sources re-enter rewritten rows
-    d = min(depth, split)
-    y = (mt[_N - _M:d] & _UPPER) | (mt[_N - _M + 1:d + 1] & _LOWER)
-    mt[_N - _M:d] = _twist(y, mt[0:d - (_N - _M)])
-    if depth <= split:
-        return
-    d = min(depth, _N - 1)
-    y = (mt[split:d] & _UPPER) | (mt[split + 1:d + 1] & _LOWER)
-    mt[split:d] = _twist(y, mt[_N - _M:d - (_N - _M)])
-    if depth < _N:
-        return
-    y = (mt[_N - 1] & _UPPER) | (mt[0] & _LOWER)
-    mt[_N - 1] = _twist(y, mt[_M - 1])
+    Rows are rewritten one at a time in the C loop's own order, so its
+    source ``mt[(kk + M) % N]`` re-reads already-rewritten rows exactly
+    where the C code does; ``tmp`` and ``tmp2`` are row buffers."""
+    for kk in range(min(depth, _N)):
+        row = mt[kk]
+        np.bitwise_and(row, _UPPER, out=tmp)
+        np.bitwise_and(mt[kk + 1 if kk + 1 < _N else 0], _LOWER, out=tmp2)
+        np.bitwise_or(tmp, tmp2, out=tmp)  # y
+        np.bitwise_and(tmp, _S1, out=tmp2)
+        np.multiply(tmp2, _MATRIX_A, out=tmp2)  # mag01[y & 1]
+        np.right_shift(tmp, _S1, out=tmp)
+        np.bitwise_xor(tmp, tmp2, out=tmp)
+        np.bitwise_xor(mt[(kk + _M) % _N], tmp, out=row)
 
 
-def _regenerate(mt: np.ndarray) -> None:
-    """One full MT19937 block twist, in place, along axis 0."""
-    _regenerate_prefix(mt, _N)
-
-
-def _temper(y: np.ndarray) -> np.ndarray:
-    y = y ^ (y >> np.uint32(11))
-    y = y ^ ((y << np.uint32(7)) & np.uint32(0x9D2C5680))
-    y = y ^ ((y << np.uint32(15)) & np.uint32(0xEFC60000))
-    return y ^ (y >> np.uint32(18))
+def _temper_into(y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """MT19937 output tempering of the row ``y`` into ``out``."""
+    np.right_shift(y, np.uint32(11), out=tmp)
+    np.bitwise_xor(y, tmp, out=out)
+    np.left_shift(out, np.uint32(7), out=tmp)
+    np.bitwise_and(tmp, np.uint32(0x9D2C5680), out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
+    np.left_shift(out, np.uint32(15), out=tmp)
+    np.bitwise_and(tmp, np.uint32(0xEFC60000), out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
+    np.right_shift(out, np.uint32(18), out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
 
 
 class VectorMT:
@@ -182,11 +192,16 @@ class VectorMT:
         n, depth = self.n, self.words
         self.buf = np.empty((depth, n), dtype=np.uint32)
         nblocks = -(-depth // _N)
-        scratch = np.empty((_N, min(_CHUNK, n)), dtype=np.uint32)
+        width = min(_CHUNK, n)
+        scratch = np.empty((_N, width), dtype=np.uint32)
+        rows = np.empty((2, width), dtype=np.uint32)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             mt = scratch[:, : hi - lo]
-            _init_by_array_into(mt, self._key0[lo:hi], self._key1[lo:hi])
+            tmp, tmp2 = rows[0, : hi - lo], rows[1, : hi - lo]
+            _init_by_array_into(
+                mt, self._key0[lo:hi], self._key1[lo:hi], tmp
+            )
             short = np.flatnonzero(self._key1[lo:hi] == 0)
             # Seeds below 2³² have a one-limb init_by_array key (and
             # seed 0 a zero limb): rare under 64-bit derivation, so the
@@ -199,11 +214,9 @@ class VectorMT:
             # block only twists the rows the buffer will keep.
             for b in range(nblocks):
                 take = min(_N, depth - b * _N)
-                if b + 1 == nblocks:
-                    _regenerate_prefix(mt, take)
-                else:
-                    _regenerate(mt)
-                self.buf[b * _N:b * _N + take, lo:hi] = _temper(mt[:take])
+                _regenerate_prefix(mt, take, tmp, tmp2)
+                for r in range(take):
+                    _temper_into(mt[r], self.buf[b * _N + r, lo:hi], tmp)
 
     def _grow(self, needed: int) -> None:
         while self.words < needed:

@@ -2,7 +2,7 @@
 
 Instead of stepping vertices one Python call at a time, this backend
 executes each communication round as a handful of array operations over
-the CSR adjacency from :func:`repro.core.engine.flat_adjacency`:
+the CSR adjacency (:func:`repro.core.engine.flat_adjacency`'s layout):
 inbox *gathers* become fancy indexing on ``targets``, per-vertex
 aggregation becomes segment reductions over the CSR offsets, and the
 dirty-commit pass becomes a masked scatter.  That is what makes the
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -68,7 +69,6 @@ from ..core.engine import (
     _attached_observers,
     _run_local_fast,
     active_fault_plan,
-    flat_adjacency,
 )
 from ..core.errors import DuplicateIDError, FaultEvent, ReproError, SimulationError
 from ..core.ids import check_unique_ids, sequential_ids
@@ -239,9 +239,19 @@ class VectorRun:
         self.n = n
         self.num_edges = graph.num_edges
         self.max_degree = graph.max_degree
-        offsets_list, targets_list = flat_adjacency(graph)
-        self.offsets = np.asarray(offsets_list, dtype=np.int64)
-        self.targets = np.asarray(targets_list, dtype=np.int64)
+        # CSR adjacency: ``targets[offsets[v]:offsets[v + 1]]`` lists
+        # v's neighbors in port order (flat_adjacency's layout).
+        adjacency = list(map(graph.neighbors, range(n)))
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, adjacency), dtype=np.int64, count=n),
+            out=self.offsets[1:],
+        )
+        self.targets = np.fromiter(
+            chain.from_iterable(adjacency),
+            dtype=np.int64,
+            count=2 * self.num_edges,
+        )
         self.node_inputs = node_inputs
         self.globals: Dict[str, Any] = dict(global_params or {})
         self.halted = np.zeros(n, dtype=bool)
@@ -282,12 +292,14 @@ class VectorRun:
                     min_words = min(min_words, max(1, int(cap)))
                 except ValueError:
                     pass
+            # One 64n-bit read: CPython emits its 32-bit words least
+            # significant first, so little-endian uint64 element v is
+            # exactly the v-th ``getrandbits(64)`` of make_node_rngs.
             master = random.Random(self.seed)
-            seeds = np.fromiter(
-                (master.getrandbits(64) for _ in range(self.n)),
-                dtype=np.uint64,
-                count=self.n,
-            )
+            wide = master.getrandbits(64 * self.n)
+            seeds = np.frombuffer(
+                wide.to_bytes(8 * self.n, "little"), dtype="<u8"
+            ).astype(np.uint64)
             self._vector_rng = VectorMT(seeds, min_words=min_words)
         return self._vector_rng
 

@@ -50,7 +50,7 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_n", "_adj", "_rev", "_m", "_edge_list")
+    __slots__ = ("_n", "_adj", "_rev", "_m", "_edge_list", "_max_degree")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -80,6 +80,7 @@ class Graph:
         self._rev = rev
         self._m = len(edge_list)
         self._edge_list = edge_list
+        self._max_degree: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -108,10 +109,12 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        """Maximum degree Δ of the graph (0 for the empty graph)."""
-        if self._n == 0:
-            return 0
-        return max(len(a) for a in self._adj)
+        """Maximum degree Δ of the graph (0 for the empty graph).
+
+        Computed on first access and kept: the graph is immutable."""
+        if self._max_degree is None:
+            self._max_degree = max(map(len, self._adj), default=0)
+        return self._max_degree
 
     def neighbors(self, v: int) -> Sequence[int]:
         """Neighbors of ``v`` in port order.  Do not mutate the result."""
@@ -224,6 +227,9 @@ class Graph:
 
     def ball(self, center: int, radius: int) -> List[int]:
         """Sorted vertices within distance ``radius`` of ``center``."""
+        if radius == 1:
+            # What the BFS returns on a simple graph, without the BFS.
+            return sorted([center, *self._adj[center]])
         return sorted(self.bfs_distances(center, cutoff=radius))
 
     def girth(self) -> Optional[int]:

@@ -426,6 +426,167 @@ class TestVectorizedBackend:
 
 
 # ----------------------------------------------------------------------
+# Kuhn–Wattenhofer reduction kernel
+# ----------------------------------------------------------------------
+def _kw_instance(n=60, seed=2, target=None, layered=False):
+    """A tree with a proper coloring from a shuffled ID range; with
+    ``layered`` every vertex reads only a random subset of its ports
+    (the Theorem 9 within-layer shape), sized so a free offset exists."""
+    rng = random.Random(seed)
+    graph = random_tree_bounded_degree(n, 5, rng)
+    colors = rng.sample(range(4 * n), n)
+    inputs = [{"color": c} for c in colors]
+    if layered:
+        target = target or 3
+        for v, node_input in enumerate(inputs):
+            ports = list(range(graph.degree(v)))
+            rng.shuffle(ports)
+            node_input["active_ports"] = ports[: target - 1]
+    elif target is None:
+        target = graph.max_degree + 1
+    params = {"palette": 4 * n, "target": target}
+    return graph, inputs, params
+
+
+@needs_vectorized
+class TestKuhnWattenhoferKernel:
+    """The KW kernel against the fast engine: outputs, failures,
+    RunResult trace and JSONL trace bytes (payload values included),
+    with the fallback forbidden so the kernel path is what ran."""
+
+    def _forbid_fallback(self, monkeypatch):
+        from repro.backends import vectorized
+
+        def boom(*args, **kwargs):  # pragma: no cover — must not run
+            raise AssertionError("unexpected fallback to fast engine")
+
+        monkeypatch.setattr(vectorized, "_run_local_fast", boom)
+
+    def _outcome(self, backend, graph, inputs, params, plan=None):
+        from repro.algorithms.reduction import KuhnWattenhoferReduction
+        from repro.obs import JsonlTraceObserver
+
+        sink = io.StringIO()
+        try:
+            result = run_local(
+                graph, KuhnWattenhoferReduction(), Model.DET,
+                node_inputs=inputs, global_params=params, trace=True,
+                fault_plan=plan, backend=backend,
+                observers=[JsonlTraceObserver(sink, payload_values=True)],
+            )
+        except Exception as exc:  # noqa: BLE001 — outcome folding
+            return ("error", type(exc).__name__, str(exc))
+        unobserved = run_local(
+            graph, KuhnWattenhoferReduction(), Model.DET,
+            node_inputs=inputs, global_params=params, fault_plan=plan,
+            backend=backend,
+        )
+        assert unobserved.outputs == result.outputs
+        return (
+            result.outputs, result.rounds, result.messages,
+            result.failures, result.trace, sink.getvalue(),
+        )
+
+    def _assert_kernel_matches(self, monkeypatch, *instance, plan=None):
+        fast = self._outcome("fast", *instance, plan=plan)
+        self._forbid_fallback(monkeypatch)
+        vec = self._outcome("vectorized", *instance, plan=plan)
+        assert vec == fast
+        return fast
+
+    def test_kernel_registered(self):
+        from repro.algorithms.kernels import KuhnWattenhoferKernel
+        from repro.algorithms.reduction import KuhnWattenhoferReduction
+        from repro.backends.vectorized import kernel_for
+
+        assert (
+            kernel_for(KuhnWattenhoferReduction()) is KuhnWattenhoferKernel
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_all_ports_matches_fast(self, monkeypatch, seed):
+        outcome = self._assert_kernel_matches(
+            monkeypatch, *_kw_instance(seed=seed)
+        )
+        assert outcome[1] > 0  # a multi-stage plan really ran
+
+    @pytest.mark.parametrize("target", [1, 2, 3, 5])
+    def test_active_ports_matches_fast(self, monkeypatch, target):
+        """Target 1 recolors in the stage's last round: two publishes
+        in one round, of which the scalar engine records the last."""
+        self._assert_kernel_matches(
+            monkeypatch, *_kw_instance(target=target, layered=True)
+        )
+
+    def test_empty_stage_plan_halts_in_setup(self, monkeypatch):
+        graph, inputs, params = _kw_instance()
+        params = dict(params, palette=params["target"])
+        outcome = self._assert_kernel_matches(
+            monkeypatch, graph, inputs, params
+        )
+        assert outcome[1] == 0
+        assert outcome[0] == [ni["color"] for ni in inputs]
+
+    def test_no_free_offset_raises_identically(self, monkeypatch):
+        graph, inputs, params = _kw_instance()
+        params = dict(params, target=1)
+        outcome = self._assert_kernel_matches(
+            monkeypatch, graph, inputs, params
+        )
+        assert outcome[:2] == ("error", "AssertionError")
+
+    @pytest.mark.parametrize("crash_round", [0, 1, 3])
+    def test_crash_faults_identical_on_kernel_path(
+        self, monkeypatch, crash_round
+    ):
+        """A crashed vertex keeps publishing its frozen pair; same-block
+        neighbors must read it exactly as the scalar engines do."""
+        plan = FaultPlan(seed=7, crash_rate=0.15, crash_round=crash_round)
+        outcome = self._assert_kernel_matches(
+            monkeypatch, *_kw_instance(target=3, layered=True), plan=plan
+        )
+        assert outcome[3]  # the plan really crashed someone
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            "mixed_ports",
+            "wide_target",
+            "bool_color",
+            "port_out_of_range",
+            "float_port",
+        ],
+    )
+    def test_supports_vetoes_and_fallback_matches(self, mutate):
+        from repro.algorithms.kernels import KuhnWattenhoferKernel
+        from repro.algorithms.reduction import KuhnWattenhoferReduction
+        from repro.backends.vectorized import VectorRun
+
+        graph, inputs, params = _kw_instance(target=3, layered=True)
+        leaf = next(v for v in graph.vertices() if graph.degree(v) == 1)
+        if mutate == "mixed_ports":
+            del inputs[0]["active_ports"]
+        elif mutate == "wide_target":
+            params = dict(params, target=63, palette=1 << 10)
+        elif mutate == "bool_color":
+            inputs[0]["color"] = True
+        elif mutate == "port_out_of_range":
+            inputs[leaf]["active_ports"] = [1]
+        else:
+            inputs[leaf]["active_ports"] = [0.0]
+        run = VectorRun(
+            graph, Model.DET, ids=None, seed=None, node_inputs=inputs,
+            global_params=params, rng_factory=None,
+            allow_duplicate_ids=False,
+        )
+        assert not KuhnWattenhoferKernel.supports(
+            KuhnWattenhoferReduction(), run
+        )
+        fast = self._outcome("fast", graph, inputs, params)
+        assert self._outcome("vectorized", graph, inputs, params) == fast
+
+
+# ----------------------------------------------------------------------
 # popcount: numpy>=2 fast path and the SWAR fallback for numpy 1.x
 # ----------------------------------------------------------------------
 @needs_vectorized
@@ -556,6 +717,81 @@ class TestVectorMT:
         vmt, _ = self._pair([5])
         with pytest.raises(ValueError, match="empty range"):
             vmt.randrange(np.array([0]), np.array([0]))
+
+    def _words(self, vmt, verts, count):
+        import numpy as np
+
+        verts = np.asarray(verts)
+        ones = np.full(verts.size, 32)
+        return np.array(
+            [vmt.getrandbits(verts, ones) for _ in range(count)]
+        ).T.tolist()
+
+    def test_streams_match_across_a_chunk_boundary(self):
+        """n > _CHUNK with short seeds (< 2³², and 0) in the second
+        chunk: word-for-word equal to ``random.Random``, before and
+        after a ``_grow`` refill."""
+        import numpy as np
+
+        from repro.backends.mt19937 import _CHUNK, VectorMT
+
+        n = _CHUNK + 40
+        master = random.Random(11)
+        seeds = [master.getrandbits(64) for _ in range(n)]
+        short = {_CHUNK + 1: 0, _CHUNK + 7: 12345, _CHUNK + 39: 2**32 - 1}
+        for v, seed in short.items():
+            seeds[v] = seed
+        vmt = VectorMT(np.array(seeds, dtype=np.uint64), min_words=8)
+        checked = [0, _CHUNK - 1, _CHUNK, *short, n - 1]
+        scalars = [random.Random(seeds[v]) for v in checked]
+        # 8 buffered words, then 40 more: crosses a _grow refill.
+        for _ in range(2):
+            got = self._words(vmt, checked, 24)
+            assert got == [
+                [r.getrandbits(32) for _ in range(24)] for r in scalars
+            ]
+        assert vmt.words >= 48
+
+    def test_small_chunks_match_stdlib_for_every_stream(self, monkeypatch):
+        """Many chunks (including a ragged last one) and a grow past one
+        MT block: every stream equals ``random.Random`` word for word."""
+        import numpy as np
+
+        from repro.backends import mt19937
+
+        monkeypatch.setattr(mt19937, "_CHUNK", 4)
+        master = random.Random(3)
+        seeds = [master.getrandbits(64) for _ in range(11)]
+        seeds[5], seeds[9] = 0, 7
+        vmt = mt19937.VectorMT(np.array(seeds, dtype=np.uint64), min_words=4)
+        scalars = [random.Random(s) for s in seeds]
+        got = self._words(vmt, range(len(seeds)), 700)
+        assert got == [
+            [r.getrandbits(32) for _ in range(700)] for r in scalars
+        ]
+
+    def test_run_master_seeds_match_make_node_rngs(self):
+        """``vector_rng``'s one wide ``getrandbits`` read derives the
+        same per-vertex streams as ``make_node_rngs``."""
+        import numpy as np
+
+        from repro.backends.vectorized import VectorRun
+        from repro.core.engine import make_node_rngs
+
+        graph = cycle_graph(37)
+        run = VectorRun(
+            graph, Model.RAND, ids=None, seed=2024, node_inputs=None,
+            global_params=None, rng_factory=None,
+            allow_duplicate_ids=False,
+        )
+        master = random.Random(2024)
+        expected = [master.getrandbits(64) for _ in range(37)]
+        vmt = run.vector_rng(min_words=4)
+        assert vmt._seeds.tolist() == expected
+        scalars = make_node_rngs(37, 2024)
+        assert self._words(vmt, np.arange(37), 5) == [
+            [r.getrandbits(32) for _ in range(5)] for r in scalars
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -245,3 +245,57 @@ def test_components_partition_vertices(edge_set):
     comps = g.connected_components()
     seen = [v for comp in comps for v in comp]
     assert sorted(seen) == list(range(12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sets(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        max_size=25,
+    )
+)
+def test_radius_one_ball_equals_bfs(edge_set):
+    """The radius-1 shortcut returns exactly the BFS ball, isolated
+    vertices (no edges at all, or vertices the edge set misses)
+    included."""
+    edges = {(min(u, v), max(u, v)) for u, v in edge_set}
+    g = Graph(12, sorted(edges))
+    for v in g.vertices():
+        assert g.ball(v, 1) == sorted(g.bfs_distances(v, 1))
+
+
+def test_max_degree_is_cached_and_exact():
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    assert g.max_degree == 3
+    assert g.max_degree == max(g.degree(v) for v in g.vertices())
+    assert g._max_degree == 3
+
+
+def _registry_backends():
+    from repro.core import available_backend_names
+
+    available = available_backend_names()
+    return [b for b in ("fast", "vectorized") if b in available]
+
+
+@pytest.mark.parametrize("backend", _registry_backends())
+def test_registry_drivers_never_mutate_their_graph(backend):
+    """Every shipped driver, at its ``--quick`` size, leaves the input
+    graph's adjacency, reverse ports and edge list exactly as built —
+    the immutability that per-graph caches (``max_degree``) rely on."""
+    import copy
+    import random
+
+    from repro.algorithms.drivers import driver_registry
+    from repro.core import use_backend
+
+    for name, spec in sorted(driver_registry().items()):
+        graph = spec.make_graph(spec.quick_n, random.Random(0))
+        before = copy.deepcopy((graph._adj, graph._rev, graph._edge_list))
+        seed = 1 if spec.accepts_seed else None
+        with use_backend(backend):
+            spec.run(graph, seed=seed)
+        after = (graph._adj, graph._rev, graph._edge_list)
+        assert after == before, name
