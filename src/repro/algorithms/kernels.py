@@ -469,7 +469,7 @@ class OrientedLinialKernel(_LinialKernelBase):
 
     def __init__(self, run: VectorRun, algorithm: SyncAlgorithm) -> None:
         super().__init__(run, algorithm)
-        offsets = run.offsets.tolist()
+        offsets, _, _ = run.graph.csr()
         assert run.node_inputs is not None
         out_slots = np.fromiter(
             (

@@ -140,10 +140,11 @@ def up_ports_from_layers(
     Every vertex learns its neighbors' layers and IDs in one round; the
     caller accounts that round (see :func:`barenboim_elkin_coloring`).
     """
+    offsets, targets, _ = graph.csr()
     out: List[List[int]] = []
     for v in graph.vertices():
         ports = []
-        for p, u in enumerate(graph.neighbors(v)):
+        for p, u in enumerate(targets[offsets[v] : offsets[v + 1]]):
             if layers[u] > layers[v] or (
                 layers[u] == layers[v] and ids[u] > ids[v]
             ):
@@ -154,8 +155,15 @@ def up_ports_from_layers(
 
 def same_layer_ports(graph: Graph, layers: Sequence[int]) -> List[List[int]]:
     """Ports joining each vertex to same-layer neighbors."""
+    offsets, targets, _ = graph.csr()
+    # Each port slot's far-end layer, gathered once.
+    far = [layers[u] for u in targets]
     return [
-        [p for p, u in enumerate(graph.neighbors(v)) if layers[u] == layers[v]]
+        [
+            s - offsets[v]
+            for s in range(offsets[v], offsets[v + 1])
+            if far[s] == layers[v]
+        ]
         for v in graph.vertices()
     ]
 

@@ -2,7 +2,7 @@
 
 Instead of stepping vertices one Python call at a time, this backend
 executes each communication round as a handful of array operations over
-the CSR adjacency (:func:`repro.core.engine.flat_adjacency`'s layout):
+the graph's CSR adjacency (:func:`csr_arrays`, shared per graph):
 inbox *gathers* become fancy indexing on ``targets``, per-vertex
 aggregation becomes segment reductions over the CSR offsets, and the
 dirty-commit pass becomes a masked scatter.  That is what makes the
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import os
 import random
-from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -110,6 +109,28 @@ def _ensure_kernels() -> None:
         from ..algorithms import kernels  # noqa: F401  (registration side effect)
 
         _kernels_imported = True
+
+
+def csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """``graph``'s CSR ``(offsets, targets)`` (:meth:`Graph.csr`) as
+    read-only int64 arrays.
+
+    Built on first use and cached on the graph, so every
+    :class:`VectorRun` and vector-mode ``MetricsObserver`` on one graph
+    shares the same two arrays; a write to them raises.
+    """
+    return graph.array_view(_build_csr_arrays)
+
+
+def _build_csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    offsets, targets, _ = graph.csr()
+    arrays = (
+        np.array(offsets, dtype=np.int64),
+        np.array(targets, dtype=np.int64),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +261,16 @@ class VectorRun:
         self.num_edges = graph.num_edges
         self.max_degree = graph.max_degree
         # CSR adjacency: ``targets[offsets[v]:offsets[v + 1]]`` lists
-        # v's neighbors in port order (flat_adjacency's layout).
-        adjacency = list(map(graph.neighbors, range(n)))
-        self.offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(map(len, adjacency), dtype=np.int64, count=n),
-            out=self.offsets[1:],
-        )
-        self.targets = np.fromiter(
-            chain.from_iterable(adjacency),
-            dtype=np.int64,
-            count=2 * self.num_edges,
-        )
+        # v's neighbors in port order.  Read-only, shared per graph.
+        self.offsets, self.targets = csr_arrays(graph)
         self.node_inputs = node_inputs
         self.globals: Dict[str, Any] = dict(global_params or {})
         self.halted = np.zeros(n, dtype=bool)
         self.wake = np.full(n, -1, dtype=np.int64)
-        self.outputs: List[Any] = [None] * n
+        #: Per-vertex outputs as Python objects (``tolist()`` gives the
+        #: RunResult's list); an object array so :meth:`halt` stores a
+        #: whole batch with one scatter.
+        self.outputs = np.full(n, None, dtype=object)
         self.failures: Dict[int, str] = {}
         #: Vertices halted in the round being executed (harness-reset).
         self.halted_this_round = 0
@@ -314,21 +328,22 @@ class VectorRun:
             return
         self.halted[verts] = True
         self.halted_this_round += int(verts.size)
-        values = (
-            outputs.tolist()
-            if isinstance(outputs, np.ndarray)
-            else outputs
-        )
-        out = self.outputs
-        for v, value in zip(verts.tolist(), values):
-            out[v] = value
-        if self.observing:
-            self._halt_segments.append(
-                (
-                    verts,
-                    values if isinstance(outputs, np.ndarray) else list(values),
-                )
+        if isinstance(outputs, np.ndarray) and outputs.ndim == 1:
+            # The cast to object converts each element exactly as
+            # ``tolist()`` does.
+            self.outputs[verts] = outputs
+            values = outputs.tolist() if self.observing else None
+        else:
+            values = (
+                outputs.tolist()
+                if isinstance(outputs, np.ndarray)
+                else list(outputs)
             )
+            self.outputs[verts] = np.fromiter(
+                values, dtype=object, count=len(values)
+            )
+        if self.observing:
+            self._halt_segments.append((verts, values))
 
     def record_publish(
         self,
@@ -464,7 +479,7 @@ def capture_vector_state(state: _VectorState) -> Dict[str, Any]:
         },
         "halted": run.halted,
         "wake": run.wake,
-        "outputs": run.outputs,
+        "outputs": run.outputs.tolist(),
         "failures": run.failures,
         "rng": (
             None
@@ -486,7 +501,9 @@ def restore_vector_state(state: _VectorState, payload: Dict[str, Any]) -> None:
         setattr(kernel, key, value)
     run.halted[:] = payload["halted"]
     run.wake[:] = payload["wake"]
-    run.outputs[:] = payload["outputs"]
+    run.outputs[:] = np.fromiter(
+        payload["outputs"], dtype=object, count=run.n
+    )
     run.failures.clear()
     run.failures.update(payload["failures"])
     rng_state = payload["rng"]
@@ -935,7 +952,7 @@ def run_local_vectorized(
         raise
 
     result = RunResult(
-        outputs=run.outputs,
+        outputs=run.outputs.tolist(),
         rounds=rounds,
         messages=messages,
         failures=run.failures,

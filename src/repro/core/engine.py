@@ -523,16 +523,12 @@ def flat_adjacency(graph: Graph) -> Tuple[List[int], List[int]]:
     """The graph's adjacency as flat CSR arrays ``(offsets, targets)``.
 
     ``targets[offsets[v]:offsets[v + 1]]`` lists ``v``'s neighbors in
-    port order.  Built once per run; the hot loop then delivers inboxes
-    with plain list indexing instead of per-step method dispatch.
+    port order.  These are the graph's own lists (:meth:`Graph.csr`),
+    built once with the graph: never mutate them.  The hot loop then
+    delivers inboxes with plain list indexing instead of per-step
+    method dispatch.
     """
-    n = graph.num_vertices
-    offsets = [0] * (n + 1)
-    targets: List[int] = []
-    extend = targets.extend
-    for v in range(n):
-        extend(graph.neighbors(v))
-        offsets[v + 1] = len(targets)
+    offsets, targets, _ = graph.csr()
     return offsets, targets
 
 

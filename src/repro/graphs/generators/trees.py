@@ -27,18 +27,7 @@ def complete_dary_tree(arity: int, depth: int) -> Graph:
         raise GraphError(f"arity must be >= 1, got {arity}")
     if depth < 0:
         raise GraphError(f"depth must be >= 0, got {depth}")
-    edges = []
-    level: List[int] = [0]
-    next_vertex = 1
-    for _ in range(depth):
-        new_level: List[int] = []
-        for parent in level:
-            for _ in range(arity):
-                edges.append((parent, next_vertex))
-                new_level.append(next_vertex)
-                next_vertex += 1
-        level = new_level
-    return Graph(next_vertex, edges)
+    return Graph.from_parents(_level_parents([arity] * depth))
 
 
 def complete_regular_tree(degree: int, depth: int) -> Graph:
@@ -55,19 +44,21 @@ def complete_regular_tree(degree: int, depth: int) -> Graph:
         raise GraphError(f"degree must be >= 2, got {degree}")
     if depth < 0:
         raise GraphError(f"depth must be >= 0, got {depth}")
-    edges = []
-    level: List[int] = [0]
-    next_vertex = 1
-    for level_index in range(depth):
-        arity = degree if level_index == 0 else degree - 1
-        new_level: List[int] = []
-        for parent in level:
-            for _ in range(arity):
-                edges.append((parent, next_vertex))
-                new_level.append(next_vertex)
-                next_vertex += 1
-        level = new_level
-    return Graph(next_vertex, edges)
+    arities = [degree] + [degree - 1] * (depth - 1) if depth else []
+    return Graph.from_parents(_level_parents(arities))
+
+
+def _level_parents(arities: Sequence[int]) -> List[int]:
+    """Parent array of the complete rooted tree, in BFS order, whose
+    vertices at depth ``i`` each have ``arities[i]`` children."""
+    parents: List[int] = []
+    level_start, level_size = 0, 1
+    for arity in arities:
+        for parent in range(level_start, level_start + level_size):
+            parents.extend([parent] * arity)
+        level_start += level_size
+        level_size *= arity
+    return parents
 
 
 def complete_regular_tree_with_size(degree: int, min_vertices: int) -> Graph:
@@ -167,7 +158,7 @@ def random_tree_bounded_degree(
         raise GraphError(
             f"cannot build a tree on {n} > 2 vertices with max degree {max_degree}"
         )
-    edges = []
+    parents: List[int] = []
     residual: List[int] = []  # vertices with spare degree, with multiplicity 1
     degree = [0] * n
     if n >= 2:
@@ -175,14 +166,14 @@ def random_tree_bounded_degree(
     for v in range(1, n):
         idx = rng.randrange(len(residual))
         parent = residual[idx]
-        edges.append((parent, v))
+        parents.append(parent)
         degree[parent] += 1
         degree[v] += 1
         if degree[parent] >= max_degree:
             residual.pop(idx)
         if degree[v] < max_degree:
             residual.append(v)
-    return Graph(n, edges)
+    return Graph.from_parents(parents)
 
 
 def random_tree_preferential(
@@ -204,14 +195,14 @@ def random_tree_preferential(
         raise GraphError(
             f"cannot build a tree on {n} > 2 vertices with max degree {max_degree}"
         )
-    edges = []
+    parents: List[int] = []
     degree = [0] * n
     pool: List[int] = [0]  # vertex tokens, multiplicity = degree (min 1)
     start = 1
     if seed_hub:
         hub_children = min(n - 1, max_degree)
         for v in range(1, hub_children + 1):
-            edges.append((0, v))
+            parents.append(0)
             degree[0] += 1
             degree[v] += 1
             pool.append(v)
@@ -239,12 +230,12 @@ def random_tree_preferential(
                     f"reaching n={n}"
                 )
             parent = pool[rng.randrange(len(pool))]
-        edges.append((parent, v))
+        parents.append(parent)
         degree[parent] += 1
         degree[v] += 1
         pool.append(parent)
         pool.append(v)
-    return Graph(n, edges)
+    return Graph.from_parents(parents)
 
 
 def spider_graph(legs: int, leg_length: int) -> Graph:
@@ -255,15 +246,13 @@ def spider_graph(legs: int, leg_length: int) -> Graph:
     """
     if legs < 0 or leg_length < 0:
         raise GraphError("legs and leg_length must be non-negative")
-    edges = []
-    n = 1
+    parents: List[int] = []
     for _ in range(legs):
         prev = 0
         for _ in range(leg_length):
-            edges.append((prev, n))
-            prev = n
-            n += 1
-    return Graph(n, edges)
+            parents.append(prev)
+            prev = len(parents)
+    return Graph.from_parents(parents)
 
 
 def caterpillar_graph(spine: int, legs_per_vertex: int) -> Graph:
@@ -271,13 +260,10 @@ def caterpillar_graph(spine: int, legs_per_vertex: int) -> Graph:
     ``legs_per_vertex`` pendant leaves."""
     if spine < 1:
         raise GraphError(f"spine must have at least 1 vertex, got {spine}")
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    n = spine
+    parents = list(range(spine - 1))
     for i in range(spine):
-        for _ in range(legs_per_vertex):
-            edges.append((i, n))
-            n += 1
-    return Graph(n, edges)
+        parents.extend([i] * legs_per_vertex)
+    return Graph.from_parents(parents)
 
 
 def random_forest(

@@ -368,9 +368,10 @@ class MetricsObserver(BatchRunObserver):
             # than the largest radius its neighbors have published.
             graph = self._graph
             if graph is not None:
+                offsets, targets = flat_adjacency(graph)
                 for v in batch.stepped:
                     grown = radius[v]
-                    for u in graph.neighbors(v):
+                    for u in targets[offsets[v] : offsets[v + 1]]:
                         reach = pub_radius[u] + 1
                         if reach > grown:
                             grown = reach
@@ -415,11 +416,9 @@ class MetricsObserver(BatchRunObserver):
         self._pub_radius_np = np.zeros(self._n, dtype=np.int64)
         self._pending_np = []
         if self._graph is not None and self._n:
-            offsets, targets = flat_adjacency(self._graph)
-            self._csr = (
-                np.asarray(offsets, dtype=np.int64),
-                np.asarray(targets, dtype=np.int64),
-            )
+            from ..backends.vectorized import csr_arrays
+
+            self._csr = csr_arrays(self._graph)
 
     def _batch_np(self, batch: RoundBatch) -> None:
         import numpy as np

@@ -218,14 +218,15 @@ _CTX_LIFECYCLE = {
     "_commit",
 }
 
-#: Graph-level helpers the engine precomputes per run; calling them per
-#: round from node code is the LM007 pattern.
+#: Graph-level topology helpers the engine reads once per run; calling
+#: them per round from node code is the LM007 pattern.
 _TOPOLOGY_HELPERS = {
     "neighbors",
     "endpoint",
     "reverse_port",
     "reverse_ports",
     "port_of",
+    "csr",
 }
 
 #: Modules whose call results are nondeterministic across runs.

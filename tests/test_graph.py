@@ -283,8 +283,9 @@ def _registry_backends():
 @pytest.mark.parametrize("backend", _registry_backends())
 def test_registry_drivers_never_mutate_their_graph(backend):
     """Every shipped driver, at its ``--quick`` size, leaves the input
-    graph's adjacency, reverse ports and edge list exactly as built —
-    the immutability that per-graph caches (``max_degree``) rely on."""
+    graph's CSR lists (offsets, targets, reverse ports) and edge columns
+    exactly as built — the immutability that the shared ``csr()`` lists
+    and the per-graph caches (``max_degree``, the array view) rely on."""
     import copy
     import random
 
@@ -293,9 +294,147 @@ def test_registry_drivers_never_mutate_their_graph(backend):
 
     for name, spec in sorted(driver_registry().items()):
         graph = spec.make_graph(spec.quick_n, random.Random(0))
-        before = copy.deepcopy((graph._adj, graph._rev, graph._edge_list))
+        slots = ("_offsets", "_targets", "_rports", "_eu", "_ev")
+        before = copy.deepcopy([getattr(graph, slot) for slot in slots])
         seed = 1 if spec.accepts_seed else None
         with use_backend(backend):
             spec.run(graph, seed=seed)
-        after = (graph._adj, graph._rev, graph._edge_list)
+        after = [getattr(graph, slot) for slot in slots]
         assert after == before, name
+
+
+def _assert_same_graph(a, b):
+    """``a`` and ``b`` agree in every query, port numbers included."""
+    assert a.num_vertices == b.num_vertices
+    assert a.num_edges == b.num_edges
+    assert a.max_degree == b.max_degree
+    assert list(a.edges()) == list(b.edges())
+    for v in a.vertices():
+        assert a.degree(v) == b.degree(v)
+        assert list(a.neighbors(v)) == list(b.neighbors(v))
+        assert a.reverse_ports(v) == b.reverse_ports(v)
+        for p in range(a.degree(v)):
+            assert a.endpoint(v, p) == b.endpoint(v, p)
+            assert a.reverse_port(v, p) == b.reverse_port(v, p)
+    assert a.csr() == b.csr()
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+@st.composite
+def _parent_arrays(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    return [draw(st.integers(0, i)) for i in range(n - 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parent_arrays())
+def test_from_parents_equals_checked_constructor(parents):
+    n = len(parents) + 1
+    oracle = Graph(n, list(zip(parents, range(1, n))))
+    tree = Graph.from_parents(parents)
+    _assert_same_graph(tree, oracle)
+    assert tree.is_tree()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parent_arrays(), st.data())
+def test_from_parents_rejects_non_earlier_parents(parents, data):
+    if not parents:
+        parents = [0]
+    i = data.draw(st.integers(0, len(parents) - 1))
+    bad = data.draw(
+        st.one_of(st.integers(-5, -1), st.integers(i + 1, i + 10))
+    )
+    parents = parents[:i] + [bad] + parents[i + 1 :]
+    with pytest.raises(GraphError):
+        Graph.from_parents(parents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        unique_by=lambda e: (min(e), max(e)),
+        max_size=30,
+    ),
+    st.lists(st.integers(0, 11), max_size=20),
+)
+def test_induced_subgraph_equals_checked_constructor(edges, keep):
+    """Unsorted edges in both orientations; unsorted, duplicated and
+    empty keep sets."""
+    g = Graph(12, edges)
+    sub, originals = g.induced_subgraph(keep)
+    assert originals == sorted(set(keep))
+    index = {v: i for i, v in enumerate(originals)}
+    oracle = Graph(
+        len(originals),
+        [(index[u], index[v]) for u, v in g.edges() if u in index and v in index],
+    )
+    _assert_same_graph(sub, oracle)
+
+
+def test_vector_runs_and_metrics_share_one_read_only_csr():
+    """Every VectorRun and vector-mode MetricsObserver on one graph
+    reads the same two cached arrays, and none of them can write."""
+    from repro.core import available_backend_names
+
+    if "vectorized" not in available_backend_names():
+        pytest.skip("vectorized backend unavailable ([perf] extra not installed)")
+    import random
+
+    import numpy as np
+
+    from repro.algorithms.rand_tree_coloring import (
+        ColorBiddingAlgorithm,
+        ColorBiddingConfig,
+    )
+    from repro.backends.vectorized import VectorRun, csr_arrays
+    from repro.core import Model, run_local
+    from repro.graphs.generators import random_tree_bounded_degree
+    from repro.obs import MetricsObserver
+
+    graph = random_tree_bounded_degree(200, 9, random.Random(1))
+    runs = [
+        VectorRun(
+            graph,
+            Model.RAND,
+            ids=None,
+            seed=seed,
+            node_inputs=None,
+            global_params=None,
+            rng_factory=None,
+            allow_duplicate_ids=False,
+        )
+        for seed in (1, 2)
+    ]
+    class Spy(MetricsObserver):
+        """Keeps the arrays the observer read (its run state is
+        dropped at run end)."""
+
+        def _enter_vector_mode(self):
+            super()._enter_vector_mode()
+            self.seen = self._csr
+
+    metrics = Spy()
+    run_local(
+        graph,
+        ColorBiddingAlgorithm(),
+        Model.RAND,
+        seed=7,
+        global_params={"config": ColorBiddingConfig(), "main_palette": 6},
+        observers=[metrics],
+        backend="vectorized",
+    )
+    offsets, targets = csr_arrays(graph)
+    for run in runs:
+        assert run.offsets is offsets and run.targets is targets
+    assert metrics.seen[0] is offsets and metrics.seen[1] is targets
+    assert offsets.tolist() == graph.csr()[0]
+    assert targets.tolist() == graph.csr()[1]
+    for array in (offsets, targets):
+        with pytest.raises(ValueError):
+            array[0] = 1
+        assert isinstance(array, np.ndarray)
